@@ -91,56 +91,94 @@ class IngestionServer:
 
     def receive(self, payload: bytes) -> None:
         """Accept one compressed upload (the UploadBatcher transport)."""
+        self.receive_many([payload])
+
+    def receive_many(self, payloads: list[bytes]) -> None:
+        """Accept a batch of compressed uploads as one store commit.
+
+        Each payload is decoded, validated and deduplicated on its
+        own; the accepted records then go to the store in a single
+        :meth:`~repro.store.SegmentStore.append_many`, and only once
+        that is durable is any payload accounted (accepted, duplicate
+        or quarantined).  A fault in the commit therefore leaves the
+        server as it was, and the caller may retry the payloads in any
+        grouping.
+        """
         if not self.available:
             get_registry().inc("ingest_unavailable_total")
             raise ServiceUnavailable("ingestion backend is down")
-        self.bytes_received += len(payload)
-        get_registry().inc("ingest_bytes_received_total", len(payload))
-        try:
-            data = json.loads(zlib.decompress(payload))
-        except (zlib.error, json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine("undecodable", payload=payload)
-            return
-        self.ingest_record(data)
+        registry = get_registry()
+        verdicts = []
+        batch_keys: set[str] = set()
+        for payload in payloads:
+            self.bytes_received += len(payload)
+            registry.inc("ingest_bytes_received_total", len(payload))
+            try:
+                data = json.loads(zlib.decompress(payload))
+            except (zlib.error, json.JSONDecodeError, UnicodeDecodeError):
+                verdicts.append(("undecodable", None, payload))
+                continue
+            verdicts.append(self._judge(data, batch_keys))
+        self._settle(verdicts)
 
     def ingest_record(self, data: dict) -> None:
         """Validate and store one decoded record."""
+        self._settle([self._judge(data, set())])
+
+    def _judge(self, data, batch_keys: set[str]) -> tuple:
+        """Classify one decoded record without touching any state but
+        ``batch_keys``: ``(None, key, record)`` to accept it, else
+        ``(reason, key, data)``."""
         if not isinstance(data, dict) or not (
             _REQUIRED_FIELDS <= set(data)
         ):
-            self._quarantine("missing-fields", data=data)
-            return
+            return "missing-fields", None, data
         key = self._identity(data)
-        if key in self._seen:
-            self.duplicates += 1
-            get_registry().inc("ingest_duplicates_total")
-            return
+        if key in self._seen or key in batch_keys:
+            return "duplicate", key, data
         try:
             record = FailureRecord.from_dict(data)
         except TypeError:
-            self._quarantine("schema-mismatch", data=data)
-            return
-        # The dedup key is recorded only after a successful parse: a
-        # malformed-but-complete record must not poison the dedup set,
-        # or a corrected retry would be miscounted as a duplicate.
+            return "schema-mismatch", None, data
+        batch_keys.add(key)
+        return None, key, record
+
+    def _settle(self, verdicts: list[tuple]) -> None:
+        """Commit the accepted records, then account every verdict."""
+        accepted = [(key, record) for reason, key, record in verdicts
+                    if reason is None]
         # With a store attached, durability comes first: the append
-        # (WAL fsync) must succeed before the key enters the dedup
-        # set, or a crash between the two would ack-then-drop.  The
-        # append is idempotent, so the retry after a mid-append crash
-        # is safe even when the WAL line did land.
+        # (WAL fsync) must succeed before a key enters the dedup set,
+        # or a crash between the two would ack-then-drop.  The append
+        # is idempotent, so the retry after a mid-append crash is safe
+        # even when the WAL lines did land.
         if self.store is not None:
-            self.store.append(record.to_dict(), key=key)
-            self._seen.add(key)
+            self.store.append_many([(record.to_dict(), key)
+                                    for key, record in accepted])
         else:
-            self._seen.add(key)
-            self.records.append(record)
-        self.accepted += 1
-        get_registry().inc("ingest_accepted_total")
-        stats = self.duration_stats.setdefault(
-            record.failure_type, StreamingStats()
-        )
-        stats.add(record.duration_s)
-        self.duration_median.add(record.duration_s)
+            self.records.extend(record for _key, record in accepted)
+        registry = get_registry()
+        for reason, key, subject in verdicts:
+            if reason is None:
+                # The dedup key is recorded only after a successful
+                # parse: a malformed-but-complete record must not
+                # poison the dedup set, or a corrected retry would be
+                # miscounted as a duplicate.
+                self._seen.add(key)
+                self.accepted += 1
+                registry.inc("ingest_accepted_total")
+                stats = self.duration_stats.setdefault(
+                    subject.failure_type, StreamingStats()
+                )
+                stats.add(subject.duration_s)
+                self.duration_median.add(subject.duration_s)
+            elif reason == "duplicate":
+                self.duplicates += 1
+                registry.inc("ingest_duplicates_total")
+            elif reason == "undecodable":
+                self._quarantine(reason, payload=subject)
+            else:
+                self._quarantine(reason, data=subject)
 
     # -- durable store --------------------------------------------------------
 
@@ -152,9 +190,8 @@ class IngestionServer:
         migrate into the store so there is exactly one owner.
         """
         self.store = store
-        for record in self.records:
-            data = record.to_dict()
-            store.append(data, key=record_identity(data))
+        store.append_many([(record.to_dict(), None)
+                           for record in self.records])
         self.records = []
         self._seen |= store.known_keys()
 

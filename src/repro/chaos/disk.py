@@ -20,6 +20,9 @@ failure modes —
 * **journal torn append / journal bit flip** — the same stories for
   the append-only journal: a partial line without its newline (crash
   mid-append), or a flipped bit inside an otherwise complete line.
+  Drawn once per append, so a group commit of N lines
+  (:meth:`DiskIO.append_lines`) tears as a batch: some whole lines,
+  then a fragment.
 
 Every injected fault is recorded in :attr:`DiskChaos.injected` with
 its kind and target path, so :func:`repro.chaos.reconcile.reconcile_disk`
@@ -83,7 +86,24 @@ class DiskIO:
         fragment terminates as its own — detectably corrupt — line
         instead of silently swallowing this append.
         """
-        path = Path(path)
+        self._append(Path(path), line + b"\n")
+
+    def append_lines(self, path: str | Path, lines: list[bytes]) -> None:
+        """Append a batch of journal lines as one group commit: one
+        torn-tail probe, one ``write`` and one fsync for all of them.
+
+        A one-line batch goes through :meth:`append_line`, so a
+        subclass that overrides only that method keeps its behaviour
+        for single appends.
+        """
+        if len(lines) == 1:
+            self.append_line(path, lines[0])
+        elif lines:
+            self._append(Path(path),
+                         b"".join(line + b"\n" for line in lines))
+
+    @staticmethod
+    def _append(path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         torn = False
         try:
@@ -96,7 +116,7 @@ class DiskIO:
         with open(path, "ab") as handle:
             if torn:
                 handle.write(b"\n")
-            handle.write(line + b"\n")
+            handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -180,7 +200,8 @@ class DiskChaos(DiskIO):
 
         A queued kind only fires on an operation that supports it
         (segment kinds on :meth:`write_atomic`, journal kinds on
-        :meth:`append_line`); it stays queued until one comes along.
+        :meth:`append_line` / :meth:`append_lines`); it stays queued
+        until one comes along.
         """
         for kind in kinds:
             if kind not in SEGMENT_FAULTS + JOURNAL_FAULTS:
@@ -254,26 +275,60 @@ class DiskChaos(DiskIO):
             self._record("bit-flip", path, bit=position)
         super().write_atomic(path, data)
 
-    def append_line(self, path: str | Path, line: bytes) -> None:
-        path = Path(path)
-        fault = self._pick(JOURNAL_FAULTS, {
+    def _pick_journal_fault(self) -> str | None:
+        return self._pick(JOURNAL_FAULTS, {
             "journal-torn": self.config.journal_torn_rate,
             "journal-flip": self.config.journal_flip_rate,
         })
+
+    def _tear(self, path: Path, blob: bytes, cut: int, **detail) -> None:
+        """Land only ``blob[:cut]`` (no newline after it) and "die"."""
+        self._record("journal-torn", path, kept_bytes=cut, **detail)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "ab") as handle:
+            handle.write(blob[:cut])
+            handle.flush()
+            os.fsync(handle.fileno())
+        raise SimulatedCrash(f"crashed mid-append to {path}")
+
+    def append_line(self, path: str | Path, line: bytes) -> None:
+        path = Path(path)
+        fault = self._pick_journal_fault()
         if fault == "journal-torn" and len(line) > 1:
-            cut = self.rng.randrange(1, len(line))
-            self._record("journal-torn", path, kept_bytes=cut,
-                         full_bytes=len(line))
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "ab") as handle:
-                handle.write(line[:cut])  # no newline: torn mid-append
-                handle.flush()
-                os.fsync(handle.fileno())
-            raise SimulatedCrash(f"crashed mid-append to {path}")
+            self._tear(path, line, self.rng.randrange(1, len(line)),
+                       full_bytes=len(line))
         if fault == "journal-flip" and line:
             line, position = self._flip_bit(line, self.rng)
             self._record("journal-flip", path, bit=position)
         super().append_line(path, line)
+
+    def append_lines(self, path: str | Path, lines: list[bytes]) -> None:
+        """One fault draw per *batch*: a torn group commit lands a
+        prefix of the batch — some whole lines, then a fragment — and a
+        flip damages one line of it."""
+        if len(lines) < 2:
+            super().append_lines(path, lines)  # -> self.append_line
+            return
+        path = Path(path)
+        fault = self._pick_journal_fault()
+        if fault == "journal-torn":
+            blob = b"".join(line + b"\n" for line in lines)
+            cut = self.rng.randrange(1, len(blob))
+            if blob[cut - 1:cut] == b"\n":
+                # Always leave a fragment: a cut on a line boundary
+                # would be a clean short write no scrub can see.
+                cut -= 1
+            self._tear(path, blob, cut, full_bytes=len(blob),
+                       records=len(lines),
+                       records_landed=blob.count(b"\n", 0, cut))
+        if fault == "journal-flip":
+            lines = list(lines)
+            index = self.rng.randrange(len(lines))
+            lines[index], position = self._flip_bit(lines[index],
+                                                    self.rng)
+            self._record("journal-flip", path, bit=position,
+                         line=index, records=len(lines))
+        super().append_lines(path, lines)
 
     def summary(self) -> dict[str, int]:
         """Injected-fault counts by kind."""

@@ -39,6 +39,12 @@ def record_identity(data: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _flat_dict(record) -> dict:
+    """``dataclasses.asdict`` for a slotted record of flat scalars:
+    same keys, order and values, without its deep-copying walk."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 @dataclass(slots=True)
 class DeviceRecord:
     """One opt-in device."""
@@ -106,7 +112,7 @@ class FailureRecord:
     arm: str = ARM_VANILLA
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _flat_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FailureRecord":
@@ -153,7 +159,7 @@ class TransitionRecord:
     arm: str = ARM_VANILLA
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _flat_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransitionRecord":

@@ -67,8 +67,8 @@ class AdmissionQueue:
     """Bounded FIFO between the front end and the ingest worker.
 
     Thread-safe: handler threads :meth:`offer`, the ingest worker
-    :meth:`pop` (blocking) and may :meth:`requeue_front` a payload the
-    downstream refused.  ``requeue_front`` is exempt from the bound —
+    :meth:`pop_many` (blocking) and may :meth:`requeue_front` payloads
+    the downstream refused.  ``requeue_front`` is exempt from the bound —
     the payload is already owned and must not be lost.
     """
 
@@ -134,17 +134,30 @@ class AdmissionQueue:
 
     def pop(self, timeout: float | None = None) -> QueuedPayload | None:
         """Blocking pop; ``None`` on timeout."""
+        entries = self.pop_many(1, timeout=timeout)
+        return entries[0] if entries else None
+
+    def pop_many(self, limit: int,
+                 timeout: float | None = None) -> list[QueuedPayload]:
+        """Block for the first entry, then take whatever else is
+        already queued, up to ``limit``, in order; ``[]`` on timeout.
+
+        Never waits to fill the batch: what it returns is what piled
+        up while the worker was busy with the previous one.
+        """
         with self._not_empty:
             if not self._entries and not self._not_empty.wait_for(
                 lambda: bool(self._entries), timeout=timeout
             ):
-                return None
-            return self._entries.popleft()
+                return []
+            return [self._entries.popleft()
+                    for _ in range(min(limit, len(self._entries)))]
 
-    def requeue_front(self, entry: QueuedPayload) -> None:
-        """Put an owned payload back at the head (downstream refused)."""
+    def requeue_front(self, *entries: QueuedPayload) -> None:
+        """Put owned payloads back at the head, keeping their order
+        (downstream refused)."""
         with self._not_empty:
-            self._entries.appendleft(entry)
+            self._entries.extendleft(reversed(entries))
             self._not_empty.notify()
 
     def shed_entry(self, entry: QueuedPayload, policy: str) -> None:

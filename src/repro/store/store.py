@@ -4,7 +4,9 @@
 
 * **appends are journaled first** — every accepted record lands as a
   WAL line in ``journal.jsonl`` (fsynced) before the store owns it, so
-  a SIGKILL at any instant loses nothing that was acknowledged;
+  a SIGKILL at any instant loses nothing the store accepted.  Appends
+  are group commits (:meth:`SegmentStore.append_many`): a batch's WAL
+  lines share one write and one fsync;
 * **sealing is atomic** — once a partition's unsealed tail reaches
   ``seal_records`` entries it is encoded into a checksummed columnar
   segment (:mod:`repro.store.segment`), written temp + fsync + rename,
@@ -67,18 +69,28 @@ class StoreError(RuntimeError):
     """The segment store could not complete an operation."""
 
 
+def _crc(canonical: str) -> str:
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return digest[:_CRC_BYTES]
+
+
 def _line_crc(entry: dict) -> str:
     """Integrity tag of one journal entry (sans its own ``crc``)."""
-    canonical = json.dumps(
+    return _crc(json.dumps(
         {k: v for k, v in entry.items() if k != "crc"}, sort_keys=True
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:_CRC_BYTES]
+    ))
 
 
 def _seal_entry(entry: dict) -> bytes:
-    entry = dict(entry)
-    entry["crc"] = _line_crc(entry)
-    return json.dumps(entry, sort_keys=True).encode("utf-8")
+    """The journal line for ``entry`` (which carries no ``crc`` yet).
+
+    ``"crc"`` sorts before every other journal key, so the sealed line
+    is the canonical dump with the tag spliced in front — one dump per
+    entry, not one for the tag and another for the line.
+    """
+    canonical = json.dumps(entry, sort_keys=True)
+    line = f'{{"crc": "{_crc(canonical)}", {canonical[1:]}'
+    return line.encode("utf-8")
 
 
 @dataclass
@@ -412,35 +424,69 @@ class SegmentStore:
         )
 
     def append(self, data: dict, key: str | None = None) -> str:
-        """Durably accept one failure-record dict; returns its key.
+        """Durably accept one failure-record dict; returns its key."""
+        return self.append_many([(data, key)])[0]
 
-        Idempotent: re-appending an identity the store already owns is
-        a no-op (the retry path after a mid-seal fault).  The WAL line
-        is fsynced before the record joins the tail, so an accepted
-        record survives a SIGKILL at any later instant.
+    def append_many(self, items) -> list[str]:
+        """Durably accept ``(data, key | None)`` pairs as one group
+        commit; returns every item's key, in order.
+
+        Idempotent: an identity the store already owns — or that
+        appears earlier in the batch — is a no-op (the retry path
+        after a mid-commit fault).  The new records' WAL lines go down
+        in **one** write and one fsync, and only then do the records
+        join their tails, so an accepted record survives a SIGKILL at
+        any later instant and a fault in the write leaves none of them
+        owned.  The commit is split only where a tail reaches
+        ``seal_records``: that record's seal (and its ``commit`` line)
+        lands before the rest of the batch is written, which keeps the
+        journal byte-identical to appending one record at a time.
         """
         with self._mutex:
-            key = key if key is not None else record_identity(data)
-            if key in self._known:
-                return key
-            partition = self.partition_of(data)
-            if self.wal:
-                entry = {
+            keys: list[str] = []
+            pending: list[tuple[str, tuple[int, int], dict]] = []
+            batch_keys: set[str] = set()
+            sizes: dict[tuple[int, int], int] = {}
+            for data, key in items:
+                key = key if key is not None else record_identity(data)
+                keys.append(key)
+                if key in self._known or key in batch_keys:
+                    continue
+                partition = self.partition_of(data)
+                pending.append((key, partition, data))
+                batch_keys.add(key)
+                size = sizes[partition] = 1 + sizes.get(
+                    partition, len(self._tails.get(partition, ())))
+                if size >= self.seal_records:
+                    self._commit(pending)
+                    pending, sizes = [], {}
+            self._commit(pending)
+            return keys
+
+    def _commit(self, rows: list) -> None:
+        """WAL-write ``(key, partition, data)`` rows in one fsynced
+        append, then own them."""
+        if not rows:
+            return
+        registry = get_registry()
+        if self.wal:
+            self.io.append_lines(self.journal_path, [
+                _seal_entry({
                     "op": "wal",
                     "key": key,
                     "partition": list(partition),
                     "data": data,
-                }
-                self.io.append_line(self.journal_path,
-                                    _seal_entry(entry))
+                })
+                for key, partition, data in rows
+            ])
+            registry.inc("store_wal_fsyncs_total")
+        registry.inc("store_records_appended_total", len(rows))
+        for key, partition, data in rows:
             tail = self._tails.setdefault(partition, [])
             tail.append((key, data))
             self._known.add(key)
-            registry = get_registry()
-            registry.inc("store_records_appended_total")
             if len(tail) >= self.seal_records:
                 self.seal(partition)
-            return key
 
     def seal(self, partition: tuple[int, int]) -> str | None:
         """Seal one partition's tail into a committed segment.

@@ -176,6 +176,76 @@ class TestIngestionServer:
         assert server.accepted == 5
         assert server.bytes_received == flushed
 
+    def test_receive_many_judges_each_payload_on_its_own(self):
+        """A batch is accounted payload by payload exactly as the same
+        payloads sent one at a time — a duplicate inside it included."""
+        good = [record_dict(device_id=i, start=float(i)) for i in range(3)]
+        bad = record_dict(device_id=9)
+        bad["unexpected_field"] = 1
+        payloads = [
+            self.compress(good[0]), b"garbage bytes",
+            self.compress(good[1]), self.compress(good[0]),
+            self.compress({"nope": 1}), self.compress(bad),
+            self.compress(good[2]),
+        ]
+        batched, single = IngestionServer(), IngestionServer()
+        batched.receive_many(payloads)
+        for payload in payloads:
+            single.receive(payload)
+        assert batched.summary() == single.summary()
+        assert batched.summary()["accepted"] == 3.0
+        assert batched.summary()["duplicates"] == 1.0
+        assert batched.records == single.records
+        assert batched.quarantine == single.quarantine
+        assert batched.accepted_keys == single.accepted_keys
+        assert batched.checkpoint() == single.checkpoint()
+
+    def test_faulted_batch_commit_accounts_nothing(self):
+        """The store commit comes before any accounting, so a batch
+        whose commit faults can be retried in any grouping without a
+        quarantine or duplicate being counted twice."""
+
+        class FlakyStore:
+            def __init__(self):
+                self.fail, self.rows = False, []
+
+            def known_keys(self):
+                return set()
+
+            def append_many(self, items):
+                if self.fail:
+                    raise OSError("disk on fire")
+                self.rows.extend(items)
+
+        store = FlakyStore()
+        server = IngestionServer()
+        server.attach_store(store)
+        store.fail = True
+        payloads = [self.compress(record_dict(device_id=1)), b"junk",
+                    self.compress(record_dict(device_id=1)),
+                    self.compress(record_dict(device_id=2))]
+        with pytest.raises(OSError):
+            server.receive_many(payloads)
+        assert server.summary() == {
+            **IngestionServer().summary(),
+            "bytes_received": float(sum(map(len, payloads))),
+        }
+        assert server.accepted_keys == frozenset()
+        assert server.quarantine == []
+        store.fail = False
+        for payload in payloads:
+            server.receive(payload)
+        assert (server.accepted, server.duplicates,
+                server.quarantined) == (2, 1, 1)
+        assert len(store.rows) == 2
+
+    def test_receive_many_refuses_the_whole_batch_while_down(self):
+        server = IngestionServer()
+        server.take_down()
+        with pytest.raises(ServiceUnavailable):
+            server.receive_many([self.compress(record_dict()), b"junk"])
+        assert server.summary() == IngestionServer().summary()
+
     def test_summary_keys(self):
         summary = IngestionServer().summary()
         assert set(summary) == {"accepted", "duplicates", "malformed",

@@ -1,5 +1,7 @@
 """Unit tests for dataset records, storage, and aggregation helpers."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,23 @@ class TestRecords:
                                      rats=("2G", "4G"),
                                      deployment="URBAN")
         assert BaseStationRecord.from_dict(original.to_dict()) == original
+
+    @pytest.mark.parametrize("record", [
+        failure(),
+        failure(error_code="SIGNAL_LOST", resolved_by=2,
+                stages_executed=3, post_transition=True,
+                arm=ARM_PATCHED),
+        TransitionRecord(device_id=1, from_rat="4G", from_level=3,
+                         to_rat="5G", to_level=0, executed=False,
+                         failed_after=True),
+    ], ids=["failure-defaults", "failure-full", "transition"])
+    def test_flat_to_dict_matches_asdict_in_keys_order_and_values(
+        self, record
+    ):
+        data = record.to_dict()
+        assert list(data.items()) == list(asdict(record).items())
+        data["device_id"] = -1  # a fresh dict, not a view
+        assert record.device_id == 1
 
     def test_arms_are_distinct(self):
         assert ARM_VANILLA != ARM_PATCHED

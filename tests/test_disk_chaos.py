@@ -13,7 +13,7 @@ from repro.chaos import (
     SimulatedCrash,
     reconcile_disk,
 )
-from repro.dataset.records import FailureRecord
+from repro.dataset.records import FailureRecord, record_identity
 from repro.dataset.store import Dataset
 from repro.serve.harness import synthetic_records
 from repro.store import SegmentStore
@@ -238,3 +238,122 @@ class TestScrubUnderChaos:
         query = reloaded.fold_analysis()
         assert query.complete
         assert query.block["n_failures"] == len(records)
+
+
+class TestBatchJournalFaults:
+    """One fault draw per group commit: a torn batch is N records."""
+
+    def _batch(self, n=6, seed=4):
+        # One device, one minute: a single partition that never seals
+        # here, so the whole batch is one ``append_lines``.
+        return [(dict(r, device_id=1, start_time=float(i)), None)
+                for i, r in enumerate(synthetic_records(n, 1, seed=seed))]
+
+    def test_one_line_batch_goes_through_append_line(self, tmp_path):
+        chaos = DiskChaos(DiskChaosConfig(seed=1))
+        chaos.force_next("journal-flip")
+        chaos.append_lines(tmp_path / "j", [b"only-line"])
+        assert chaos.injected == [{
+            "fault": "journal-flip", "path": str(tmp_path / "j"),
+            "bit": chaos.injected[0]["bit"],
+        }]
+        chaos.append_lines(tmp_path / "j", [])
+        assert len((tmp_path / "j").read_bytes().splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_torn_batch_owns_nothing_and_retry_is_idempotent(
+        self, tmp_path, seed
+    ):
+        chaos = DiskChaos(DiskChaosConfig(seed=seed))
+        store = _store(tmp_path, io=chaos)
+        batch = self._batch()
+        keys = [record_identity(data) for data, _key in batch]
+        chaos.force_next("journal-torn")
+        with pytest.raises(SimulatedCrash):
+            store.append_many(batch)
+        assert store.known_keys() == set()
+        assert store.n_tail_records == 0
+        (fault,) = chaos.injected
+        assert fault["fault"] == "journal-torn"
+        assert fault["records"] == len(batch)
+        assert 0 <= fault["records_landed"] < len(batch)
+        assert 0 < fault["kept_bytes"] < fault["full_bytes"]
+        torn = store.journal_path.read_bytes()
+        assert not torn.endswith(b"\n")
+        assert torn.count(b"\n") == fault["records_landed"]
+
+        # A crash-restart right there recovers exactly the records
+        # whose lines landed whole, and scrub explains the fault.
+        crashed = _store(tmp_path)
+        assert crashed.known_keys() == set(
+            keys[:fault["records_landed"]]
+        )
+        report = crashed.scrub(repair=False)
+        disk = reconcile_disk(chaos.injected, report)
+        assert disk.ok, disk.render()
+        assert disk.by_class == {"journal-truncated": 1}
+
+        # The in-process retry instead: same batch again, idempotent.
+        assert store.append_many(batch) == keys
+        assert store.append_many(batch) == keys
+        assert store.n_tail_records == len(batch)
+        reopened = _store(tmp_path)
+        assert reopened.known_keys() == set(keys)
+        assert reopened.n_tail_records == len(batch)
+        disk = reconcile_disk(chaos.injected, reopened.scrub())
+        assert disk.ok, disk.render()
+
+    def test_flipped_batch_line_is_detected_and_reuploaded(self, tmp_path):
+        chaos = DiskChaos(DiskChaosConfig(seed=23))
+        store = _store(tmp_path, io=chaos)
+        batch = self._batch()
+        keys = [record_identity(data) for data, _key in batch]
+        chaos.force_next("journal-flip")
+        assert store.append_many(batch) == keys
+        (fault,) = chaos.injected
+        assert fault["records"] == len(batch)
+        assert 0 <= fault["line"] < len(batch)
+        # In memory the store owns all of them; on disk one line is
+        # damaged, so a restart proves one record fewer.
+        assert store.known_keys() == set(keys)
+        reopened = _store(tmp_path)
+        assert reopened.known_keys() == set(keys) - {keys[fault["line"]]}
+        report = reopened.scrub()
+        assert report.journal_damaged_lines == 1
+        disk = reconcile_disk(chaos.injected, report)
+        assert disk.ok, disk.render()
+        assert disk.by_class == {"journal-damage-detected": 1}
+        # The re-upload invitation: the lost line's record comes back.
+        reopened.append_many(batch)
+        assert reopened.known_keys() == set(keys)
+
+    def test_batched_soak_never_loses_acked_records(self, tmp_path):
+        """The uniform-rate soak of the single-append path, driven in
+        batches of seven with whole-batch retries."""
+        records = synthetic_records(12, 6, seed=13)
+        direct = compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(r) for r in records
+        ]))
+        chaos = DiskChaos(DiskChaosConfig.uniform(0.08, seed=29))
+        store = _store(tmp_path, io=chaos)
+        for at in range(0, len(records), 7):
+            batch = [(r, None) for r in records[at:at + 7]]
+            for _ in range(10):
+                try:
+                    store.append_many(batch)
+                    break
+                except (SimulatedCrash, OSError):
+                    continue
+            else:
+                raise AssertionError("batch never committed")
+        assert {"journal-torn", "journal-flip"} & set(chaos.summary())
+        reloaded = _store(tmp_path)
+        report = reloaded.scrub(repair=True)
+        disk = reconcile_disk(chaos.injected, report)
+        assert disk.ok, disk.render()
+        reloaded.append_many([(r, None) for r in records])
+        reloaded.flush()
+        query = reloaded.fold_analysis()
+        assert query.complete, query.skipped
+        assert (json.dumps(query.block, sort_keys=True)
+                == json.dumps(direct, sort_keys=True))

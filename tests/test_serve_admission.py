@@ -1,6 +1,9 @@
 """Tests for the bounded admission queue and its overload policies."""
 
 import json
+import sys
+import threading
+import time
 import zlib
 
 import pytest
@@ -56,6 +59,79 @@ class TestAdmission:
         queue.requeue_front(entry)
         assert queue.depth == 2
         assert queue.pop(timeout=0.1).payload == b"owned"
+
+    def test_pop_many_takes_what_is_queued_up_to_the_limit(self):
+        queue = AdmissionQueue(capacity=8)
+        for name in (b"a", b"b", b"c", b"d", b"e"):
+            queue.offer(name)
+        assert [e.payload for e in queue.pop_many(3, timeout=0.1)] == [
+            b"a", b"b", b"c"]
+        # Never waits to fill: two are queued, two come back at once.
+        assert [e.payload for e in queue.pop_many(32, timeout=5.0)] == [
+            b"d", b"e"]
+        assert queue.pop_many(32, timeout=0.01) == []
+
+    def test_pop_many_blocks_for_the_first_entry_only(self):
+        queue = AdmissionQueue()
+        timer = threading.Timer(0.05, queue.offer, args=(b"late",))
+        timer.start()
+        try:
+            entries = queue.pop_many(32, timeout=5.0)
+        finally:
+            timer.join(timeout=5.0)
+        assert [e.payload for e in entries] == [b"late"]
+
+    def test_requeue_front_keeps_a_batch_in_order(self):
+        queue = AdmissionQueue(capacity=2)
+        for name in (b"a", b"b"):
+            queue.offer(name)
+        batch = queue.pop_many(2, timeout=0.1)
+        queue.offer(b"c")
+        queue.requeue_front(*batch)
+        assert queue.depth == 3  # bound-exempt: already owned
+        assert [e.payload for e in queue.pop_many(8, timeout=0.1)] == [
+            b"a", b"b", b"c"]
+
+    def test_pop_many_under_concurrent_offers_loses_and_reorders_nothing(
+        self
+    ):
+        """Four producers against one batching consumer that hands
+        every third batch back once: each sender's payloads come out
+        exactly once and in the order they went in."""
+        per_sender, senders = 400, 4
+        queue = AdmissionQueue(capacity=per_sender * senders)
+
+        def produce(sender):
+            for index in range(per_sender):
+                assert queue.offer(b"%d" % index, sender=sender).admitted
+
+        seen = {sender: [] for sender in range(senders)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=produce, args=(s,))
+                       for s in range(senders)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 20.0
+            batches = 0
+            while (sum(map(len, seen.values())) < per_sender * senders
+                   and time.monotonic() < deadline):
+                batch = queue.pop_many(7, timeout=0.05)
+                batches += 1
+                if batch and batches % 3 == 0:
+                    queue.requeue_front(*batch)
+                    continue
+                for entry in batch:
+                    seen[entry.sender].append(int(entry.payload))
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {sender: list(range(per_sender))
+                        for sender in range(senders)}
+        assert queue.depth == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -495,14 +495,14 @@ class TestServiceQueries:
                 )
                 entered = threading.Event()
                 release = threading.Event()
-                real = service.server.receive
+                real = service.server.receive_many
 
-                def gated(payload):
+                def gated(payloads):
                     entered.set()
                     release.wait(timeout=10.0)
-                    real(payload)
+                    real(payloads)
 
-                service.server.receive = gated
+                service.server.receive_many = gated
                 try:
                     batcher2 = self._ingest(service, records[6:])
                     assert entered.wait(timeout=5.0)
@@ -510,7 +510,7 @@ class TestServiceQueries:
                         mid = client.stats()
                 finally:
                     release.set()
-                    service.server.receive = real
+                    service.server.receive_many = real
                 assert mid["watermark"]["n_records"] == 6
                 assert wait_until(
                     lambda: service.server.accepted == len(records)

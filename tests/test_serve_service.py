@@ -7,7 +7,9 @@ slow-loris deadlines, drain acks) are exercised through the same code
 path production traffic would take.
 """
 
+import base64
 import json
+import os
 import random
 import threading
 import time
@@ -15,11 +17,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.chaos import DiskIO
 from repro.chaos.config import ChaosConfig
 from repro.chaos.reconcile import payload_key, reconcile
 from repro.dataset.records import record_identity
 from repro.monitoring.uploader import UploadBatcher
-from repro.obs import ThreadSafeRegistry, use_registry
+from repro.obs import SUM_SCALE, ThreadSafeRegistry, use_registry
 from repro.serve import (
     CLOSED,
     OPEN,
@@ -61,23 +64,23 @@ def serving(config=None, server=None):
 
 @contextmanager
 def blocked_ingest(service):
-    """Gate the worker inside ``server.receive`` so payloads pile up
-    in the admission queue deterministically."""
+    """Gate the worker inside ``server.receive_many`` so payloads pile
+    up in the admission queue deterministically."""
     entered = threading.Event()
     release = threading.Event()
-    real = service.server.receive
+    real = service.server.receive_many
 
-    def gated(payload):
+    def gated(payloads):
         entered.set()
         release.wait(timeout=10.0)
-        real(payload)
+        real(payloads)
 
-    service.server.receive = gated
+    service.server.receive_many = gated
     try:
         yield entered, release
     finally:
         release.set()
-        service.server.receive = real
+        service.server.receive_many = real
 
 
 def dataset(server):
@@ -490,14 +493,14 @@ class TestPayloadOwnership:
         registry = ThreadSafeRegistry()
         with use_registry(registry), serving(config) as service:
             poison_key = record_identity(poison)
-            real = service.server.receive
+            real = service.server.receive_many
 
-            def faulting(payload):
-                if payload_key(payload) == poison_key:
+            def faulting(payloads):
+                if poison_key in map(payload_key, payloads):
                     raise ValueError("downstream chokes on this one")
-                real(payload)
+                real(payloads)
 
-            service.server.receive = faulting
+            service.server.receive_many = faulting
             batchers = []
             for index, record in enumerate([poison] + good):
                 batcher = UploadBatcher(
@@ -510,7 +513,7 @@ class TestPayloadOwnership:
                 batchers.append(batcher)
             assert wait_until(lambda: service.server.accepted == 3)
             assert wait_until(lambda: service.poisoned == 1)
-            service.server.receive = real
+            service.server.receive_many = real
             assert poison_key in service.shed_keys
             report = reconcile(
                 {record_identity(r) for r in [poison] + good},
@@ -597,3 +600,223 @@ class TestChaosSoak:
                 == report.emitted)
         # Chaos actually did something worth explaining.
         assert report.duplicates + report.quarantined > 0
+
+
+class Downstream:
+    """Stands in for ``server.receive_many``: logs every call's
+    payload identities, can hold the worker inside a call so a batch
+    piles up behind it, and can fault calls."""
+
+    def __init__(self, service):
+        self.calls = []
+        self.hold = 0
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Semaphore(0)
+        self.fault = lambda keys: None
+        self.real = service.server.receive_many
+        service.server.receive_many = self
+
+    def __call__(self, payloads):
+        keys = [payload_key(p) for p in payloads]
+        self.calls.append(keys)
+        if self.hold:
+            self.hold -= 1
+            self.entered.release()
+            self.release.acquire(timeout=10.0)
+        exc = self.fault(keys)
+        if exc is not None:
+            raise exc
+        self.real(payloads)
+
+
+def send_each(service, records):
+    """One connection per record, sent in order; the batchers."""
+    batchers = []
+    for index, record in enumerate(records):
+        batcher = UploadBatcher(transport=SocketTransport(
+            *service.address, sender=index
+        ))
+        batcher.enqueue(record)
+        batcher.maybe_flush(True)
+        batchers.append(batcher)
+    return batchers
+
+
+class TestGroupCommit:
+    def pile_up(self, service, downstream, records):
+        """Hold the worker on ``records[0]`` while the rest queue, so
+        the next batch is exactly ``records[1:]``, in order."""
+        downstream.hold = 1
+        batchers = send_each(service, records[:1])
+        assert downstream.entered.acquire(timeout=5.0)
+        batchers += send_each(service, records[1:])
+        assert service.queue.depth == len(records) - 1
+        return batchers
+
+    def test_worker_commits_what_queued_as_one_batch(self, tmp_path):
+        records = synthetic_records(n_devices=6, per_device=1)
+        keys = [record_identity(r) for r in records]
+        config = ServeConfig(store_dir=str(tmp_path / "store"))
+        registry = ThreadSafeRegistry()
+        with use_registry(registry), serving(config) as service:
+            downstream = Downstream(service)
+            batchers = self.pile_up(service, downstream, records)
+            downstream.release.release()
+            assert wait_until(lambda: service.server.accepted == 6)
+            assert downstream.calls == [keys[:1], keys[1:]]
+            for batcher in batchers:
+                batcher.transport.close()
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["store_wal_fsyncs_total"] == 2
+        batch = snapshot["histograms"]["serve_ingest_batch_records"]
+        assert batch["count"] == 2
+        assert batch["sum_scaled"] == 6 * SUM_SCALE
+        # Stage latencies stay one observation per record.
+        for stage in ("ingest", "queue"):
+            hist = snapshot["histograms"][
+                f'serve_stage_seconds{{stage="{stage}"}}']
+            assert hist["count"] == 6
+
+    def test_faulted_batch_is_retried_one_payload_at_a_time(self):
+        """A batch fault blames no payload: it goes back to the head
+        in order, and the retry budget and poison quarantine then
+        apply per payload exactly as for single appends."""
+        config = ServeConfig(ingest_retry_limit=3,
+                             breaker_threshold=100)
+        poison = synthetic_records(n_devices=1, per_device=1,
+                                   seed=13)[0]
+        good = synthetic_records(n_devices=4, per_device=1)
+        records = [good[0], good[1], poison, good[2], good[3]]
+        keys = [record_identity(r) for r in records]
+        registry = ThreadSafeRegistry()
+        with use_registry(registry), serving(config) as service:
+            downstream = Downstream(service)
+            downstream.fault = lambda batch: (
+                ValueError("downstream chokes on this one")
+                if keys[2] in batch else None
+            )
+            batchers = self.pile_up(service, downstream, records)
+            downstream.release.release()
+            assert wait_until(lambda: service.server.accepted == 4)
+            assert wait_until(lambda: service.poisoned == 1)
+            assert downstream.calls == [
+                [keys[0]], keys[1:],
+                [keys[1]], [keys[2]], [keys[2]], [keys[2]],
+                [keys[3]], [keys[4]],
+            ]
+            # The batch fault consumed nobody's budget: the poison got
+            # its full three solo attempts.
+            assert service.ingest_faults == 4
+            assert service.shed_keys == [keys[2]]
+            report = reconcile(set(keys), service.server, batchers,
+                               service=service)
+            # Back to batches once the faulted one is worked off.
+            more = synthetic_records(n_devices=3, per_device=1, seed=77)
+            batchers += self.pile_up(service, downstream, more)
+            downstream.release.release()
+            assert wait_until(lambda: service.server.accepted == 7)
+            assert len(downstream.calls[-1]) == 2
+            for batcher in batchers:
+                batcher.transport.close()
+        assert report.ok, report.render()
+        assert report.accepted == 4 and report.server_shed == 1
+        assert registry.snapshot()["counters"][
+            "serve_poison_quarantined_total"] == 1
+
+    def test_outage_on_a_batch_consumes_no_budget(self):
+        """A budget of one would poison any payload charged a single
+        fault; an outage over a whole batch must charge none."""
+        config = ServeConfig(ingest_retry_limit=1,
+                             breaker_threshold=1000,
+                             breaker_reset_s=0.01)
+        records = synthetic_records(n_devices=4, per_device=1)
+        keys = [record_identity(r) for r in records]
+        with serving(config) as service:
+            downstream = Downstream(service)
+            batchers = self.pile_up(service, downstream, records)
+            service.server.take_down()
+            downstream.release.release()
+            assert wait_until(lambda: service.ingest_faults > 10)
+            assert service.poisoned == 0
+            service.server.bring_up()
+            assert wait_until(lambda: service.server.accepted == 4)
+            # The held payload went back to the head, in front of the
+            # three behind it; from then on the four are requeued
+            # whole and in order and retried as one batch.
+            assert downstream.calls[0] == keys[:1]
+            assert downstream.calls[1:] == [keys] * (
+                len(downstream.calls) - 1)
+            for batcher in batchers:
+                batcher.transport.close()
+
+    def test_drain_with_a_batch_in_hand_resumes_losing_nothing(
+        self, tmp_path
+    ):
+        records = synthetic_records(n_devices=5, per_device=1)
+        keys = [record_identity(r) for r in records]
+        config = ServeConfig(store_dir=str(tmp_path / "store"),
+                             drain_timeout_s=0.2)
+        path = tmp_path / "serve.ckpt"
+        service = IngestService(config=config).start()
+        downstream = Downstream(service)
+        batchers = self.pile_up(service, downstream, records)
+        # Let the first commit through and hold the batch of four in
+        # the worker's hand, then SIGTERM-style stop: the disk gives
+        # out under the in-hand batch while the drain waits for it.
+        downstream.hold = 1
+        downstream.release.release()
+        assert downstream.entered.acquire(timeout=5.0)
+        downstream.fault = lambda batch: OSError("disk gave out")
+        stopping = threading.Thread(
+            target=service.stop, kwargs={"checkpoint_path": path}
+        )
+        stopping.start()
+        assert wait_until(service._stop_worker.is_set)
+        downstream.release.release()
+        stopping.join(timeout=10.0)
+        assert not stopping.is_alive()
+        for batcher in batchers:
+            batcher.transport.close()
+        assert service.server.accepted == 1
+        snapshot = json.loads(path.read_text())
+        assert [payload_key(base64.b64decode(entry["payload"]))
+                for entry in snapshot["queue"]] == keys[1:]
+        resumed = IngestService.resume(path, config=config).start()
+        try:
+            assert wait_until(lambda: resumed.server.accepted == 5)
+            assert resumed.server.store.known_keys() == set(keys)
+        finally:
+            resumed.stop()
+
+    def test_checkpoint_is_fsynced_before_it_replaces_the_old_one(
+        self, tmp_path
+    ):
+        """Regression: the drain checkpoint carries acked payloads, so
+        it must be durable before the rename — it used to be written
+        with a bare ``write_text`` + ``os.replace``."""
+
+        class CountingIO(DiskIO):
+            def __init__(self):
+                self.atomic_writes = []
+
+            def write_atomic(self, path, data):
+                self.atomic_writes.append((str(path), len(data)))
+                super().write_atomic(path, data)
+
+        service = IngestService()
+        service.io = CountingIO()
+        service.queue.offer(b"owned payload", sender=3)
+        path = tmp_path / "deep" / "serve.ckpt"
+        fsynced = []
+        real_fsync = os.fsync
+        os.fsync = lambda fd: (fsynced.append(fd), real_fsync(fd))[1]
+        try:
+            service.write_checkpoint(path)
+        finally:
+            os.fsync = real_fsync
+        assert service.io.atomic_writes == [
+            (str(path), path.stat().st_size)]
+        assert len(fsynced) == 1
+        assert list(path.parent.iterdir()) == [path]  # no temp left
+        restored = IngestService.resume(path)
+        assert restored.queue.depth == 1

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.columnar import compute_analysis_block
 from repro.backend.ingest import IngestionServer
+from repro.chaos import DiskIO
 from repro.dataset.records import FailureRecord, record_identity
 from repro.dataset.store import Dataset
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve.harness import synthetic_records
 from repro.store import (
     SegmentCorruptError,
@@ -19,6 +25,7 @@ from repro.store import (
     decode_segment,
     encode_segment,
 )
+from repro.store.store import _line_crc, _seal_entry
 
 
 def _records(n_devices=12, per_device=6, seed=7):
@@ -378,3 +385,105 @@ class TestDrainResumeByteIdentity:
         server.ingest_record(dict(data))  # the client retry
         assert server.accepted == 1
         assert len(store.known_keys()) == 1
+
+
+def _on_disk(store):
+    """Everything a store leaves behind, byte for byte."""
+    return {
+        "journal": store.journal_path.read_bytes(),
+        "segments": {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(store.segments_dir.glob("*"))
+        },
+        "fold": json.dumps(store.fold_analysis().block, sort_keys=True),
+        "tail": store.tail_rows(),
+    }
+
+
+class TestGroupCommit:
+    RECORDS = _records(8, 8, seed=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stream=st.lists(st.integers(0, len(RECORDS) - 1), max_size=90),
+        cuts=st.lists(st.integers(1, 14), min_size=1, max_size=12),
+    )
+    def test_any_chunking_matches_one_by_one(self, stream, cuts):
+        """However a record stream (duplicates included) is chunked
+        through ``append_many``, the journal bytes, the segment files
+        and the fold are those of appending one record at a time."""
+        rows = [self.RECORDS[i] for i in stream]
+        with tempfile.TemporaryDirectory() as scratch:
+            single = _store(Path(scratch) / "single")
+            for row in rows:
+                single.append(dict(row))
+            batched = _store(Path(scratch) / "batched")
+            at, keys = 0, []
+            while at < len(rows):
+                size = cuts[len(keys) % len(cuts)]
+                keys.append(batched.append_many(
+                    [(dict(row), None) for row in rows[at:at + size]]
+                ))
+                at += size
+            assert ([key for chunk in keys for key in chunk]
+                    == [record_identity(row) for row in rows])
+            if rows:
+                assert _on_disk(batched) == _on_disk(single)
+            assert batched.summary() == single.summary()
+
+    def test_one_fsynced_write_per_batch(self, tmp_path):
+        writes = []
+
+        class Recording(DiskIO):
+            def append_lines(self, path, lines):
+                writes.append(len(lines))
+                super().append_lines(path, lines)
+
+        registry = MetricsRegistry()
+        store = _store(tmp_path, io=Recording(), seal_records=100)
+        with use_registry(registry):
+            store.append_many([(r, None) for r in self.RECORDS[:7]])
+            store.append(self.RECORDS[7])
+            # Nothing new to write: no commit at all.
+            store.append_many([(r, None) for r in self.RECORDS[:8]])
+        assert writes == [7, 1]
+        counters = registry.snapshot()["counters"]
+        assert counters["store_wal_fsyncs_total"] == 2
+        assert counters["store_records_appended_total"] == 8
+
+    def test_batch_splits_only_at_a_seal_boundary(self, tmp_path):
+        """The record that fills a tail ends the write, so its commit
+        line lands where one-by-one appends would put it."""
+        records = [dict(self.RECORDS[0], device_id=1, start_time=float(i))
+                   for i in range(25)]
+        store = _store(tmp_path, seal_records=10)
+        store.append_many([(r, None) for r in records])
+        ops = [json.loads(line)["op"] for line
+               in store.journal_path.read_text().splitlines()]
+        assert ops == (["wal"] * 10 + ["commit"]) * 2 + ["wal"] * 5
+        assert store.n_segments == 2 and store.n_tail_records == 5
+
+
+class TestSealEntry:
+    ENTRIES = [
+        {"op": "wal", "key": "kéy", "partition": [3, 0],
+         "data": {"isp": "中国移动", "error_code": None,
+                  "duration_s": 1.5, "has_5g": False, "device_id": 7}},
+        {"op": "commit", "segment": "seg-t0-d0-000001.seg", "seq": 1,
+         "sha256": "ab" * 32, "n_records": 2, "partition": [0, 0],
+         "keys": ["a", "b"]},
+        {"op": "quarantine", "segment": "seg-t0-d0-000001.seg",
+         "reason": "digest mismatch — torn", "keys": []},
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRIES,
+                             ids=[e["op"] for e in ENTRIES])
+    def test_single_dump_is_byte_identical_to_two_dumps(self, entry):
+        reference = dict(entry)
+        reference["crc"] = _line_crc(reference)
+        line = _seal_entry(entry)
+        assert line == json.dumps(reference,
+                                  sort_keys=True).encode("utf-8")
+        loaded = json.loads(line)
+        assert loaded["crc"] == _line_crc(loaded)
+        assert "crc" not in entry  # the caller's dict is left alone
