@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_parallel import record_digest, scenario_for
+from bench_parallel import scenario_for
 from repro.fleet.simulator import FleetSimulator
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
@@ -57,10 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     for repeat in range(args.repeats):
         dataset, wall = timed_run(disabled)
         disabled_walls.append(wall)
-        disabled_digest = record_digest(dataset)
+        disabled_digest = dataset.record_digest()
         dataset, wall = timed_run(enabled)
         enabled_walls.append(wall)
-        enabled_digest = record_digest(dataset)
+        enabled_digest = dataset.record_digest()
         metrics_block = dataset.metadata["metrics"]
         print(f"repeat {repeat + 1}/{args.repeats}: "
               f"disabled {disabled_walls[-1]:.2f}s, "

@@ -48,7 +48,6 @@ loudly; blessing is a deliberate act recorded in its own commit.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -64,18 +63,6 @@ from repro.parallel.engine import preferred_start_method
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
-
-
-def record_digest(dataset: Dataset) -> str:
-    """SHA-256 over the dataset's records (metadata excluded)."""
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
 
 
 def scenario_for(devices: int, seed: int, metrics: bool = False,
@@ -143,11 +130,11 @@ def bench_batch(args: argparse.Namespace, serial_wall: float,
     # precomputed probability tables) that steady-state studies do not;
     # the repeat doubles as an in-process determinism check.
     batch_ds, wall_1 = run_once(scenario, workers=None)
-    batch_digest = record_digest(batch_ds)
+    batch_digest = batch_ds.record_digest()
     batch_metrics = batch_ds.metadata.get("metrics")
     del batch_ds
     repeat_ds, wall_2 = run_once(scenario, workers=None)
-    if record_digest(repeat_ds) != batch_digest:
+    if repeat_ds.record_digest() != batch_digest:
         print("FAIL: batch engine is not deterministic across runs",
               file=sys.stderr)
         return {"error": "nondeterministic"}, False
@@ -164,7 +151,7 @@ def bench_batch(args: argparse.Namespace, serial_wall: float,
         print(f"batch workers={workers} ...", flush=True)
         ds, wall = run_once(scenario, workers=workers,
                             n_shards=args.shards)
-        digest = record_digest(ds)
+        digest = ds.record_digest()
         identical = digest == batch_digest
         if batch_metrics is not None:
             identical &= (
@@ -263,10 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.verify_batch:
         scenario = scenario_for(args.devices, args.seed, engine="batch")
         inline_ds, _ = run_once(scenario, workers=None)
-        inline_digest = record_digest(inline_ds)
+        inline_digest = inline_ds.record_digest()
         sharded_ds, _ = run_once(scenario, workers=args.workers[0],
                                  n_shards=args.shards or 5)
-        sharded_digest = record_digest(sharded_ds)
+        sharded_digest = sharded_ds.record_digest()
         ok = inline_digest == sharded_digest
         print(f"batch inline  {inline_digest[:16]}")
         print(f"batch sharded {sharded_digest[:16]} "
@@ -289,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario = scenario_for(args.devices, args.seed, metrics=metrics)
     print(f"serial baseline: {args.devices} devices ...", flush=True)
     serial_ds, serial_wall = run_once(scenario, workers=None)
-    serial_digest = record_digest(serial_ds)
+    serial_digest = serial_ds.record_digest()
     print(f"  {serial_wall:.2f} s "
           f"({args.devices / serial_wall:.0f} devices/s), "
           f"digest {serial_digest[:12]}")
@@ -306,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"workers={workers} ...", flush=True)
         parallel_ds, wall = run_once(scenario, workers=workers,
                                      n_shards=args.shards)
-        digest = record_digest(parallel_ds)
+        digest = parallel_ds.record_digest()
         identical = digest == serial_digest
         if serial_metrics is not None:
             # With metrics on, identity covers the metrics block too.

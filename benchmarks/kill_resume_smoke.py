@@ -25,7 +25,6 @@ execution engine.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import signal
@@ -42,17 +41,6 @@ from repro.dataset.store import load_dataset  # noqa: E402
 from repro.fleet.scenario import ScenarioConfig  # noqa: E402
 from repro.fleet.simulator import FleetSimulator  # noqa: E402
 from repro.network.topology import TopologyConfig  # noqa: E402
-
-
-def dataset_digest(dataset) -> str:
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
 
 
 def completed_shards(manifest_path: Path) -> dict:
@@ -139,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         fresh = FleetSimulator(scenario).run()
         resumed = load_dataset(out_path)
-        fresh_digest = dataset_digest(fresh)
-        resumed_digest = dataset_digest(resumed)
+        fresh_digest = fresh.record_digest()
+        resumed_digest = resumed.record_digest()
         if fresh_digest != resumed_digest:
             print(f"FAIL: resumed dataset diverges from serial run\n"
                   f"  serial:  {fresh_digest}\n"

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -57,6 +56,7 @@ from repro.serve.client import (  # noqa: E402
     TransportSignal,
 )
 from repro.serve.harness import (  # noqa: E402
+    ServeProcess,
     drain_fleet,
     drive_fleet,
     synthetic_records,
@@ -83,51 +83,11 @@ def canonical(block) -> str:
     return json.dumps(block, sort_keys=True)
 
 
-class Serve:
+def serve(checkpoint: Path, store_dir: Path,
+          *flags: str) -> ServeProcess:
     """One store-backed ``repro serve`` subprocess."""
-
-    def __init__(self, checkpoint: Path, store_dir: Path,
-                 resume: bool = False,
-                 prom_out: Path | None = None):
-        cmd = [
-            sys.executable, "-m", "repro", "serve",
-            "--checkpoint", str(checkpoint),
-            "--store-dir", str(store_dir),
-            "--seal-records", "16",
-            "--read-deadline", "0.5",
-            "--drain-timeout", "30",
-        ]
-        if resume:
-            cmd.append("--resume")
-        if prom_out:
-            cmd += ["--prom-out", str(prom_out)]
-        self.proc = subprocess.Popen(
-            cmd, env=dict(os.environ, PYTHONPATH="src"),
-            cwd=REPO_ROOT, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        self.banner: list[str] = []
-        self.host, self.port = self._await_bind()
-
-    def _await_bind(self) -> tuple[str, int]:
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                break
-            self.banner.append(line.rstrip())
-            if line.startswith("serving on "):
-                host, port = line.split()[-1].rsplit(":", 1)
-                return host, int(port)
-        raise RuntimeError(
-            "serve never bound; output so far: %r" % self.banner
-        )
-
-    def sigterm(self) -> tuple[int, str]:
-        self.proc.send_signal(signal.SIGTERM)
-        tail = self.proc.stdout.read()
-        code = self.proc.wait(timeout=60)
-        return code, tail
+    return ServeProcess(checkpoint, "--store-dir", str(store_dir),
+                        "--seal-records", "16", *flags)
 
 
 class Poller:
@@ -250,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         # -- control leg -----------------------------------------------
         print(f"[1/3] control: {total} records through a store-backed "
               "service, offline fold is the reference")
-        ctrl = Serve(tmp_path / "control.ckpt",
+        ctrl = serve(tmp_path / "control.ckpt",
                      tmp_path / "control-store")
         drive = drive_fleet(records, ctrl.host, ctrl.port,
                             chaos=ChaosConfig(seed=args.seed, **CHAOS))
@@ -275,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         print("[2/3] soak: query poller rides along, SIGTERM mid-run")
         store_dir = tmp_path / "soak-store"
         ckpt = tmp_path / "soak.ckpt"
-        soak = Serve(ckpt, store_dir)
+        soak = serve(ckpt, store_dir)
         poller = Poller()
         poller.start(soak.host, soak.port)
         drive = drive_fleet(records, soak.host, soak.port,
@@ -300,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         # -- resume leg ------------------------------------------------
         print("[3/3] resume against the same store and finish")
         prom_out = tmp_path / "serve.prom"
-        resumed = Serve(ckpt, store_dir, resume=True,
-                        prom_out=prom_out)
+        resumed = serve(ckpt, store_dir, "--resume",
+                        "--prom-out", str(prom_out))
         if not any("resumed from" in line for line in resumed.banner):
             return fail(f"resume leg did not load the checkpoint: "
                         f"{resumed.banner!r}")

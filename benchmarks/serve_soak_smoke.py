@@ -31,9 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -46,6 +43,7 @@ from repro.backend.ingest import IngestionServer  # noqa: E402
 from repro.chaos.config import ChaosConfig  # noqa: E402
 from repro.chaos.reconcile import reconcile  # noqa: E402
 from repro.serve.harness import (  # noqa: E402
+    ServeProcess,
     connection_storm,
     drain_fleet,
     drive_fleet,
@@ -58,53 +56,6 @@ from repro.serve.harness import (  # noqa: E402
 #: emitted record must ultimately be accepted and the interrupted run
 #: can be compared byte-for-byte against the control run.
 CHAOS = dict(drop_rate=0.15, duplicate_rate=0.1, reorder_rate=0.05)
-
-
-class Serve:
-    """One ``repro serve`` subprocess with parsed bind address."""
-
-    def __init__(self, checkpoint: Path, resume: bool = False,
-                 metrics_out: Path | None = None,
-                 prom_out: Path | None = None):
-        cmd = [
-            sys.executable, "-m", "repro", "serve",
-            "--checkpoint", str(checkpoint),
-            "--read-deadline", "0.5",
-            "--drain-timeout", "30",
-        ]
-        if resume:
-            cmd.append("--resume")
-        if metrics_out:
-            cmd += ["--metrics-out", str(metrics_out)]
-        if prom_out:
-            cmd += ["--prom-out", str(prom_out)]
-        self.proc = subprocess.Popen(
-            cmd, env=dict(os.environ, PYTHONPATH="src"),
-            cwd=REPO_ROOT, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        self.banner: list[str] = []
-        self.host, self.port = self._await_bind()
-
-    def _await_bind(self) -> tuple[str, int]:
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                break
-            self.banner.append(line.rstrip())
-            if line.startswith("serving on "):
-                host, port = line.split()[-1].rsplit(":", 1)
-                return host, int(port)
-        raise RuntimeError(
-            "serve never bound; output so far: %r" % self.banner
-        )
-
-    def sigterm(self) -> tuple[int, str]:
-        self.proc.send_signal(signal.SIGTERM)
-        tail = self.proc.stdout.read()
-        code = self.proc.wait(timeout=60)
-        return code, tail
 
 
 def dataset_digest(server_snapshot: dict) -> str:
@@ -149,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[1/3] control: {total} records, chaotic transport, "
               f"run to completion")
         ctrl_ckpt = tmp_path / "control.ckpt"
-        ctrl = Serve(ctrl_ckpt)
+        ctrl = ServeProcess(ctrl_ckpt)
         drive = drive_fleet(records, ctrl.host, ctrl.port,
                             chaos=ChaosConfig(seed=args.seed, **CHAOS))
         drain_fleet(drive)
@@ -175,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         print("[2/3] soak: same fleet + junk storm + slow loris, "
               "SIGTERM mid-run")
         soak_ckpt = tmp_path / "soak.ckpt"
-        soak = Serve(soak_ckpt)
+        soak = ServeProcess(soak_ckpt)
         storm = connection_storm(soak.host, soak.port, connections=25,
                                  payloads_per_connection=2)
         if storm.acks.get("ok", 0) == 0:
@@ -205,8 +156,9 @@ def main(argv: list[str] | None = None) -> int:
         print("[3/3] resume from the drain checkpoint and finish")
         prom_out = tmp_path / "serve.prom"
         metrics_out = tmp_path / "serve.metrics.json"
-        resumed = Serve(soak_ckpt, resume=True,
-                        metrics_out=metrics_out, prom_out=prom_out)
+        resumed = ServeProcess(soak_ckpt, "--resume",
+                               "--metrics-out", str(metrics_out),
+                               "--prom-out", str(prom_out))
         if not any("resumed from" in line for line in resumed.banner):
             return fail(f"resume leg did not load the checkpoint: "
                         f"{resumed.banner!r}")

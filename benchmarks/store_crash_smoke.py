@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -47,6 +46,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.chaos.disk import DiskChaos  # noqa: E402
 from repro.chaos.reconcile import reconcile_disk  # noqa: E402
 from repro.serve.harness import (  # noqa: E402
+    ServeProcess,
     drain_fleet,
     drive_fleet,
     synthetic_records,
@@ -54,58 +54,11 @@ from repro.serve.harness import (  # noqa: E402
 from repro.store import ScrubReport, SegmentStore  # noqa: E402
 
 
-class Serve:
+def serve(store_dir: Path, checkpoint: Path, seal_records: int,
+          *flags: str) -> ServeProcess:
     """One store-backed ``repro serve`` subprocess."""
-
-    def __init__(self, store_dir: Path, checkpoint: Path,
-                 seal_records: int, chaos_rate: float = 0.0,
-                 chaos_seed: int = 0,
-                 analysis_out: Path | None = None):
-        cmd = [
-            sys.executable, "-m", "repro", "serve",
-            "--store-dir", str(store_dir),
-            "--seal-records", str(seal_records),
-            "--checkpoint", str(checkpoint),
-            "--read-deadline", "0.5",
-            "--drain-timeout", "30",
-        ]
-        if chaos_rate > 0:
-            cmd += ["--disk-chaos", str(chaos_rate),
-                    "--disk-chaos-seed", str(chaos_seed)]
-        if analysis_out is not None:
-            cmd += ["--analysis-out", str(analysis_out)]
-        self.proc = subprocess.Popen(
-            cmd, env=dict(os.environ, PYTHONPATH="src"),
-            cwd=REPO_ROOT, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
-        self.banner: list[str] = []
-        self.host, self.port = self._await_bind()
-
-    def _await_bind(self) -> tuple[str, int]:
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
-            if not line:
-                break
-            self.banner.append(line.rstrip())
-            if line.startswith("serving on "):
-                host, port = line.split()[-1].rsplit(":", 1)
-                return host, int(port)
-        raise RuntimeError(
-            "serve never bound; output so far: %r" % self.banner
-        )
-
-    def sigterm(self) -> tuple[int, str]:
-        self.proc.send_signal(signal.SIGTERM)
-        tail = self.proc.stdout.read()
-        code = self.proc.wait(timeout=60)
-        return code, tail
-
-    def sigkill(self) -> None:
-        self.proc.send_signal(signal.SIGKILL)
-        self.proc.wait(timeout=30)
-        self.proc.stdout.close()
+    return ServeProcess(checkpoint, "--store-dir", str(store_dir),
+                        "--seal-records", str(seal_records), *flags)
 
 
 def fail(message: str) -> int:
@@ -139,8 +92,8 @@ def main(argv: list[str] | None = None) -> int:
               "serve, healthy disks")
         ctrl_store = tmp_path / "control-store"
         ctrl_analysis = tmp_path / "control-analysis.json"
-        ctrl = Serve(ctrl_store, tmp_path / "control.ckpt",
-                     seal_records=16, analysis_out=ctrl_analysis)
+        ctrl = serve(ctrl_store, tmp_path / "control.ckpt", 16,
+                     "--analysis-out", str(ctrl_analysis))
         drive = drive_fleet(records, ctrl.host, ctrl.port)
         drain_fleet(drive)
         if drive.pending_payloads:
@@ -160,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[2/4] crash: disk chaos at {args.chaos}/op, SIGKILL "
               "mid-run (no drain, no checkpoint)")
         crash_store = tmp_path / "crash-store"
-        crash = Serve(crash_store, tmp_path / "crash.ckpt",
-                      seal_records=8, chaos_rate=args.chaos,
-                      chaos_seed=args.seed)
+        crash = serve(crash_store, tmp_path / "crash.ckpt", 8,
+                      "--disk-chaos", str(args.chaos),
+                      "--disk-chaos-seed", str(args.seed))
         drive = drive_fleet(records, crash.host, crash.port,
                             timeout_s=5.0)
         # Push long enough that tails are sealing, then pull the plug
@@ -204,8 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         print("[4/4] resume on the repaired store, re-upload the "
               "fleet, compare analyses")
         final_analysis = tmp_path / "final-analysis.json"
-        resumed = Serve(crash_store, tmp_path / "resume.ckpt",
-                        seal_records=8, analysis_out=final_analysis)
+        resumed = serve(crash_store, tmp_path / "resume.ckpt", 8,
+                        "--analysis-out", str(final_analysis))
         drive = drive_fleet(records, resumed.host, resumed.port)
         drain_fleet(drive)
         if drive.pending_payloads:

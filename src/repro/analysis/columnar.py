@@ -27,14 +27,20 @@ partition the device population, so the merge of per-shard partials is
 can report study-level statistics without materializing a single
 record.  The JSON-able form lands in ``Dataset.metadata["analysis"]``
 on every run (serial and sharded alike).
+
+Batches that *share* devices (the segment store's sealed segments and
+WAL tail) fold through :class:`SegmentPartial`: the same partial plus
+the per-device evidence that lets :class:`_Fold` re-derive the
+distinct-device fields exactly.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,20 +74,21 @@ def _encode(values: list) -> tuple[np.ndarray, tuple[str, ...]]:
     return codes, tuple(cats)
 
 
-def _rows(records: list, *attrs: str) -> np.ndarray:
-    """``(len(records), len(attrs))`` float matrix of numeric fields.
+def _rows(records: list, getter, *fields: str) -> np.ndarray:
+    """``(len(records), len(fields))`` float matrix of numeric fields.
 
-    One C-level pass (``map`` over a multi-attribute ``attrgetter``)
+    One C-level pass (``map`` over a multi-field ``getter`` —
+    ``attrgetter`` for record objects, ``itemgetter`` for dict rows)
     instead of one list comprehension per column — the difference
     between an O(fields) and an O(1) number of Python-loop walks over
     the record list.
     """
     n = len(records)
     flat = np.fromiter(
-        chain.from_iterable(map(attrgetter(*attrs), records)),
-        np.float64, n * len(attrs),
+        chain.from_iterable(map(getter(*fields), records)),
+        np.float64, n * len(fields),
     )
-    return flat.reshape(n, len(attrs))
+    return flat.reshape(n, len(fields))
 
 
 @dataclass(frozen=True)
@@ -193,16 +200,19 @@ class ColumnarView:
                 gc.enable()
 
 
-def _build_failures(failures: list) -> FailureColumns:
+def _build_failures(failures: list, getter=attrgetter) -> FailureColumns:
+    """Failure columns of ``FailureRecord`` objects, or — with
+    ``getter=itemgetter`` — of their ``to_dict()`` rows (what the
+    segment store holds), without building the objects."""
     type_codes, types = _encode(
-        list(map(attrgetter("failure_type"), failures))
+        list(map(getter("failure_type"), failures))
     )
-    isp_codes, isps = _encode(list(map(attrgetter("isp"), failures)))
-    rat_codes, rats = _encode(list(map(attrgetter("rat"), failures)))
-    numeric = _rows(failures, "device_id", "model", "has_5g",
+    isp_codes, isps = _encode(list(map(getter("isp"), failures)))
+    rat_codes, rats = _encode(list(map(getter("rat"), failures)))
+    numeric = _rows(failures, getter, "device_id", "model", "has_5g",
                     "duration_s", "bs_id", "signal_level",
                     "stages_executed")
-    resolved = list(map(attrgetter("resolved_by"), failures))
+    resolved = list(map(getter("resolved_by"), failures))
     resolved_by = np.fromiter(
         (RESOLVED_BY_NONE if r is None else r for r in resolved),
         np.int64, len(failures),
@@ -236,7 +246,7 @@ def _build_devices(devices: list) -> DeviceColumns:
         for (rat, level), seconds in device.exposure_s.items()
     ]
     exp_rat_codes, exp_rats = _encode([row[0] for row in exposure])
-    numeric = _rows(devices, "device_id", "model", "has_5g")
+    numeric = _rows(devices, attrgetter, "device_id", "model", "has_5g")
     return DeviceColumns(
         device_id=numeric[:, 0].astype(np.int64),
         model=numeric[:, 1].astype(np.int64),
@@ -261,8 +271,8 @@ def _build_transitions(transitions: list) -> TransitionColumns:
     to_codes, to_rats = _encode(
         list(map(attrgetter("to_rat"), transitions))
     )
-    numeric = _rows(transitions, "device_id", "from_level", "to_level",
-                    "executed", "failed_after")
+    numeric = _rows(transitions, attrgetter, "device_id", "from_level",
+                    "to_level", "executed", "failed_after")
     return TransitionColumns(
         device_id=numeric[:, 0].astype(np.int64),
         from_rat_codes=from_codes,
@@ -419,8 +429,17 @@ class AnalysisPartial:
     def from_dataset(cls, dataset: "Dataset") -> "AnalysisPartial":
         """Compute the partial from a dataset's records (columnar)."""
         view = columnar(dataset)
-        f = view.failures
-        t = view.transitions
+        return cls.from_columns(view.failures, view.transitions,
+                                len(view.devices))
+
+    @classmethod
+    def from_columns(cls, failures: FailureColumns,
+                     transitions: TransitionColumns | None = None,
+                     n_devices: int = 0) -> "AnalysisPartial":
+        """Compute the partial from column arrays — the one place the
+        study statistics are computed."""
+        f = failures
+        t = transitions if transitions is not None else ()
 
         failing_ids, per_device = np.unique(f.device_id,
                                             return_counts=True)
@@ -446,7 +465,7 @@ class AnalysisPartial:
             int((t.executed & t.failed_after).sum()) if len(t) else 0
         )
         return cls(
-            n_devices=len(view.devices),
+            n_devices=n_devices,
             n_failures=len(f),
             n_transitions=len(t),
             failing_devices=int(failing_ids.size),
@@ -580,6 +599,89 @@ _BLOCK_FIELDS = (
     "failures_by_level", "failures_by_isp", "failing_devices_by_isp",
     "failures_per_device", "duration_hist", "duration_hist_by_type",
 )
+
+
+@dataclass(frozen=True)
+class SegmentPartial:
+    """One record batch reduced to exactly-mergeable evidence.
+
+    ``partial`` holds the fields that sum exactly across *any* record
+    partition (counts, count dicts, integer histograms).  The three
+    evidence maps carry what the distinct-device fields need when the
+    same device appears in several batches: :class:`_Fold` unions them
+    and re-derives ``failing_devices`` / ``oos_devices`` /
+    ``max_failures_single_device`` / ``failures_per_device`` /
+    ``failing_devices_by_isp`` — making the whole fold exact without
+    requiring device-disjoint batches.  The maps are O(devices), which
+    is why they ride beside the partial instead of inside it: the
+    blocks persisted in shard checkpoints and ``metadata["analysis"]``
+    stay O(1) and merge device-disjoint.
+    """
+
+    partial: AnalysisPartial
+    #: device_id -> number of failures in this batch.
+    device_failures: dict
+    #: device_ids with >= 1 OUT_OF_SERVICE failure in this batch.
+    oos_devices: frozenset
+    #: isp -> frozenset of device_ids with >= 1 failure on that ISP.
+    isp_devices: dict
+
+    @classmethod
+    def from_rows(cls, rows: list, getter=itemgetter) -> "SegmentPartial":
+        """Reduce store rows (record dicts) to a partial; pass
+        ``getter=attrgetter`` for ``FailureRecord`` objects."""
+        f = _build_failures(rows, getter)
+        devices, counts = np.unique(f.device_id, return_counts=True)
+        return cls(
+            partial=AnalysisPartial.from_columns(f),
+            device_failures=dict(zip(devices.tolist(), counts.tolist())),
+            oos_devices=frozenset(
+                f.device_id[f.type_mask("OUT_OF_SERVICE")].tolist()
+            ),
+            isp_devices={
+                isp: frozenset(f.device_id[f.isp_codes == code].tolist())
+                for code, isp in enumerate(f.isps)
+            },
+        )
+
+
+class _Fold:
+    """Accumulates :class:`SegmentPartial` batches into one block."""
+
+    def __init__(self) -> None:
+        self.partial = AnalysisPartial.from_columns(_build_failures([]))
+        self.device_failures: dict = {}
+        self.oos: set = set()
+        self.isp_devices: dict = {}
+
+    def add(self, batch: SegmentPartial) -> None:
+        self.partial = self.partial.merge(batch.partial)
+        for device, count in batch.device_failures.items():
+            self.device_failures[device] = (
+                self.device_failures.get(device, 0) + count
+            )
+        self.oos |= batch.oos_devices
+        for isp, devices in batch.isp_devices.items():
+            self.isp_devices.setdefault(isp, set()).update(devices)
+
+    def block(self) -> dict:
+        """The exact analysis block of everything added so far."""
+        per_device = self.device_failures
+        corrected = replace(
+            self.partial,
+            failing_devices=len(per_device),
+            oos_devices=len(self.oos),
+            max_failures_single_device=max(per_device.values(),
+                                           default=0),
+            failures_per_device=dict(
+                Counter(map(str, per_device.values()))
+            ),
+            failing_devices_by_isp={
+                isp: len(devices)
+                for isp, devices in self.isp_devices.items()
+            },
+        )
+        return corrected.to_block()
 
 
 def compute_analysis_block(dataset: "Dataset") -> dict:

@@ -9,6 +9,7 @@ compressed uploads of Sec. 2.2 at the container level.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
 import tempfile
@@ -58,6 +59,19 @@ class Dataset:
         for failure in self.failures:
             grouped.setdefault(failure.device_id, []).append(failure)
         return grouped
+
+    def record_digest(self) -> str:
+        """SHA-256 over every record's canonical JSON, in list order
+        (metadata excluded) — the byte-identity check of sharded,
+        resumed and swept runs, and what ``golden_digests.json`` pins."""
+        hasher = hashlib.sha256()
+        for group in (self.devices, self.base_stations,
+                      self.failures, self.transitions):
+            for record in group:
+                hasher.update(
+                    json.dumps(record.to_dict(), sort_keys=True).encode()
+                )
+        return hasher.hexdigest()
 
     def merge(self, other: "Dataset") -> "Dataset":
         """A new dataset containing both runs' records (A/B analysis).
@@ -124,6 +138,9 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     full disk) mid-save leaves any previous ``path`` intact instead of
     a truncated gzip that fails to load.
     """
+    # Not DiskIO.write_atomic, on purpose: that takes the whole blob,
+    # and this streams gzip into the temp file — materialising a
+    # nationwide dataset first would double the run's peak memory.
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(

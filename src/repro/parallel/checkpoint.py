@@ -14,9 +14,11 @@ Layout of a checkpoint directory::
     <dir>/shards/shard-00003.pkl one artifact per completed shard
     <dir>/quarantine/...         artifacts that failed verification
 
-Every artifact is written atomically (temp file + fsync + rename) and
-carries a header with a SHA-256 over its pickle payload; the manifest
-records the same digest.  On resume, an artifact whose digest, pickle,
+Every artifact is written atomically
+(:meth:`repro.chaos.disk.DiskIO.write_atomic`: temp file + fsync +
+rename) and carries a header with a SHA-256 over its pickle payload;
+the manifest records the same digest.  On resume, an artifact whose
+digest, pickle,
 or device coverage does not check out is **quarantined** — moved aside
 and dropped from the manifest — and its shard is simply re-run; a
 truncated or bit-flipped file can cost recomputation, never
@@ -37,9 +39,9 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 
+from repro.chaos.disk import DiskIO
 from repro.parallel.sharding import ShardSpec
 from repro.parallel.supervisor import (
     ShardResultInvalid,
@@ -78,31 +80,15 @@ def scenario_fingerprint(config, n_shards: int) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers see old or new, never half."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                    prefix=path.name + ".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class CheckpointStore:
     """One run's durable shard spool under ``root``."""
 
     def __init__(self, root: str | Path, fingerprint: str,
-                 n_shards: int) -> None:
+                 n_shards: int, io: DiskIO | None = None) -> None:
         self.root = Path(root)
+        #: Test seam: a :class:`~repro.chaos.disk.DiskChaos` here puts
+        #: shard artifacts and the manifest under disk-fault injection.
+        self.io = io if io is not None else DiskIO()
         self.fingerprint = fingerprint
         self.n_shards = n_shards
         self.quarantined: list[dict] = []
@@ -173,7 +159,7 @@ class CheckpointStore:
         digest = hashlib.sha256(payload).hexdigest()
         header = b"%s v%d %s\n" % (_MAGIC, FORMAT_VERSION,
                                    digest.encode("ascii"))
-        _atomic_write(self.artifact_path(index), header + payload)
+        self.io.write_atomic(self.artifact_path(index), header + payload)
         self._manifest_shards[str(index)] = {
             "file": self.artifact_path(index).name,
             "sha256": digest,
@@ -214,8 +200,10 @@ class CheckpointStore:
             "shards": dict(sorted(self._manifest_shards.items(),
                                   key=lambda item: int(item[0]))),
         }
-        _atomic_write(self.manifest_path,
-                      json.dumps(manifest, indent=2).encode("utf-8"))
+        self.io.write_atomic(
+            self.manifest_path,
+            json.dumps(manifest, indent=2).encode("utf-8"),
+        )
 
     def _load_artifact(self, index: int, spec: ShardSpec,
                        entry: dict):

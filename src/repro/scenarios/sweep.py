@@ -35,10 +35,7 @@ that pack from scratch instead of serving stale results.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import os
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,7 +47,7 @@ from repro.analysis.landscape import (
     scenario_landscape_dict,
     scenario_row,
 )
-from repro.dataset.store import Dataset
+from repro.chaos.disk import DiskIO
 from repro.fleet.simulator import FleetSimulator
 from repro.parallel.checkpoint import CheckpointMismatchError
 from repro.scenarios.pack import PackError, ScenarioPack
@@ -94,35 +91,9 @@ class SweepResult:
                 if outcome.status != STATUS_SKIPPED]
 
 
-def record_digest(dataset: Dataset) -> str:
-    """SHA-256 over the dataset's records (metadata excluded)."""
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> None:
     """Readers (and a resumed sweep) see old or new, never half."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                    prefix=path.name + ".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    DiskIO().write_atomic(path, text.encode("utf-8"))
 
 
 def _dump(payload: dict) -> str:
@@ -190,7 +161,7 @@ def _run_pack(pack: ScenarioPack, pack_dir: Path, *,
         "complete": True,
         "fingerprint": pack.fingerprint(),
         "pack": pack.data,
-        "record_digest": record_digest(dataset),
+        "record_digest": dataset.record_digest(),
         "analysis": dataset.metadata["analysis"],
         "summary": analysis_summary(dataset.metadata["analysis"]),
         "counters": dict(metrics.get("counters") or {}),
@@ -202,10 +173,10 @@ def _run_pack(pack: ScenarioPack, pack_dir: Path, *,
     # separate file so every byte of result.json is reproducible.
     execution = dataset.metadata.get("execution")
     if execution is not None:
-        _atomic_write_text(pack_dir / "execution.json",
-                           _dump({"execution": execution}))
-    _atomic_write_text(pack_dir / "metrics.json", _dump(metrics))
-    _atomic_write_text(pack_dir / "result.json", _dump(payload))
+        _write_text(pack_dir / "execution.json",
+                    _dump({"execution": execution}))
+    _write_text(pack_dir / "metrics.json", _dump(metrics))
+    _write_text(pack_dir / "result.json", _dump(payload))
     return payload
 
 
@@ -276,8 +247,8 @@ def run_sweep(
     table = comparison_table(rows)
     report_md = out_dir / "landscape.md"
     report_json = out_dir / "landscape.json"
-    _atomic_write_text(report_md, render_scenario_landscape(rows))
-    _atomic_write_text(report_json, _dump(scenario_landscape_dict(rows)))
+    _write_text(report_md, render_scenario_landscape(rows))
+    _write_text(report_json, _dump(scenario_landscape_dict(rows)))
     say(f"landscape report: {report_md} (+ {report_json.name})")
     return SweepResult(
         out_dir=out_dir,

@@ -45,7 +45,6 @@ from repro.serve.query import (
     QUERY_KINDS,
     QueryEngine,
     QueryPlane,
-    SegmentPartial,
 )
 from repro.serve.service import (
     CHECKPOINT_FORMAT,
@@ -82,7 +81,6 @@ __all__ = [
     "QueryPlane",
     "RESULT_NAMES",
     "RetryAfter",
-    "SegmentPartial",
     "ServeConfig",
     "ServeConnectionError",
     "ServeUnavailable",

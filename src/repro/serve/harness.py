@@ -14,7 +14,10 @@ prove the acceptance story end to end:
   returning what the server did about it;
 * :func:`reconcile_fleet` — the closing reconciliation, service-aware
   (server-side queue shedding and queued-in-flight payloads are
-  classified, not mysteries).
+  classified, not mysteries);
+* :class:`ServeProcess` — one ``repro serve`` child process with its
+  bind address parsed, for the smokes that SIGTERM / SIGKILL a real
+  server.
 
 The harness talks to a *real* socket — in-process
 :class:`~repro.serve.service.IngestService` for tests, or a
@@ -25,10 +28,15 @@ through the same code path production traffic would take.
 
 from __future__ import annotations
 
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.chaos.config import ChaosConfig
 from repro.chaos.reconcile import ReconciliationReport, reconcile
@@ -304,3 +312,56 @@ def malformed_flood(host: str, port: int, frames: int,
             name = protocol.ACK_NAMES[status]
             acks[name] = acks.get(name, 0) + 1
     return acks
+
+
+# -- a real server to kill ---------------------------------------------------
+
+
+class ServeProcess:
+    """One ``python -m repro serve`` child, bind address parsed.
+
+    ``flags`` are appended to the command line (``"--resume"``,
+    ``"--store-dir", path`` ...).  Construction returns once the child
+    printed its ``serving on HOST:PORT`` line; everything it printed
+    up to then is in :attr:`banner`.
+    """
+
+    def __init__(self, checkpoint: str | Path, *flags: str) -> None:
+        source_root = str(Path(__file__).resolve().parents[2])
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--checkpoint", str(checkpoint),
+             "--read-deadline", "0.5", "--drain-timeout", "30",
+             *flags],
+            env=dict(os.environ, PYTHONPATH=source_root), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        self.banner: list[str] = []
+        self.host, self.port = self._await_bind()
+
+    def _await_bind(self) -> tuple[str, int]:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            line = self.proc.stdout.readline()
+            if not line:
+                break
+            self.banner.append(line.rstrip())
+            if line.startswith("serving on "):
+                host, port = line.split()[-1].rsplit(":", 1)
+                return host, int(port)
+        raise RuntimeError(
+            "serve never bound; output so far: %r" % self.banner
+        )
+
+    def sigterm(self) -> tuple[int, str]:
+        """Drain: returns the exit code and the remaining output."""
+        self.proc.send_signal(signal.SIGTERM)
+        tail = self.proc.stdout.read()
+        code = self.proc.wait(timeout=60)
+        return code, tail
+
+    def sigkill(self) -> None:
+        """Pull the plug: no drain, no checkpoint."""
+        self.proc.send_signal(signal.SIGKILL)
+        self.proc.wait(timeout=30)
+        self.proc.stdout.close()

@@ -6,14 +6,11 @@ requests over it *live*, with three guarantees:
 
 * **Exactness** — a query answer is byte-identical (in sorted-JSON
   form) to the offline ``analysis`` block computed over the same
-  records.  The distinct-device counters make this non-trivial:
-  :class:`~repro.analysis.columnar.AnalysisPartial` merges are exact
-  only across device-disjoint populations, and one device's records
-  spread across many segments.  :class:`SegmentPartial` therefore
-  carries the per-device evidence (failure counts, OUT_OF_SERVICE
-  membership, per-ISP device sets) alongside the plain partial; the
-  fold merges the exactly-summable fields through ``AnalysisPartial``
-  and re-derives the distinct-device fields from the merged evidence.
+  records: the fold is the store's own
+  :meth:`~repro.store.SegmentStore.fold_snapshot` over
+  :class:`~repro.analysis.columnar.SegmentPartial` batches, whose
+  per-device evidence keeps the distinct-device counters exact while
+  one device's records spread across many segments.
 * **Snapshot consistency** — a fold runs over
   :meth:`~repro.store.SegmentStore.query_snapshot` (taken under the
   store's mutation guard), so it never observes a half-applied seal
@@ -38,8 +35,14 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
+from repro.analysis.columnar import (
+    SegmentPartial,
+    _Fold,
+    analysis_summary,
+)
 from repro.obs import LATENCY_BUCKETS_S, get_registry
 
 #: The queries the plane answers, in wire-code order.
@@ -64,106 +67,6 @@ class QueryPlaneError(RuntimeError):
     """The query plane could not answer (bad kind, engine fault)."""
 
 
-def _empty_partial():
-    from repro.analysis.columnar import AnalysisPartial
-    from repro.dataset.store import Dataset
-
-    return AnalysisPartial.from_dataset(Dataset())
-
-
-@dataclass(frozen=True)
-class SegmentPartial:
-    """One record batch reduced to exactly-mergeable evidence.
-
-    ``partial`` holds the fields that sum exactly across *any* record
-    partition (counts, count dicts, integer histograms).  The three
-    evidence maps carry what the distinct-device fields need when the
-    same device appears in several batches: merged folds union them
-    and re-derive ``failing_devices`` / ``oos_devices`` /
-    ``max_failures_single_device`` / ``failures_per_device`` /
-    ``failing_devices_by_isp`` — making the whole fold exact without
-    requiring device-disjoint batches.
-    """
-
-    partial: object
-    #: device_id -> number of failures in this batch.
-    device_failures: dict
-    #: device_ids with >= 1 OUT_OF_SERVICE failure in this batch.
-    oos_devices: frozenset
-    #: isp -> frozenset of device_ids with >= 1 failure on that ISP.
-    isp_devices: dict
-
-    @classmethod
-    def from_rows(cls, rows: list) -> "SegmentPartial":
-        """Reduce raw record dicts (store rows) to a partial."""
-        from repro.analysis.columnar import AnalysisPartial
-        from repro.dataset.records import FailureRecord
-        from repro.dataset.store import Dataset
-
-        failures = [FailureRecord.from_dict(row) for row in rows]
-        device_failures: dict = {}
-        oos: set = set()
-        isp_devices: dict = {}
-        for record in failures:
-            device = int(record.device_id)
-            device_failures[device] = device_failures.get(device, 0) + 1
-            if record.failure_type == "OUT_OF_SERVICE":
-                oos.add(device)
-            isp_devices.setdefault(record.isp, set()).add(device)
-        return cls(
-            partial=AnalysisPartial.from_dataset(
-                Dataset(failures=failures)
-            ),
-            device_failures=device_failures,
-            oos_devices=frozenset(oos),
-            isp_devices={isp: frozenset(devices)
-                         for isp, devices in isp_devices.items()},
-        )
-
-
-class _Fold:
-    """Accumulates :class:`SegmentPartial` batches into one block."""
-
-    def __init__(self) -> None:
-        self.partial = _empty_partial()
-        self.device_failures: dict = {}
-        self.oos: set = set()
-        self.isp_devices: dict = {}
-
-    def add(self, batch: SegmentPartial) -> None:
-        self.partial = self.partial.merge(batch.partial)
-        for device, count in batch.device_failures.items():
-            self.device_failures[device] = (
-                self.device_failures.get(device, 0) + count
-            )
-        self.oos |= batch.oos_devices
-        for isp, devices in batch.isp_devices.items():
-            self.isp_devices.setdefault(isp, set()).update(devices)
-
-    def block(self) -> dict:
-        """The exact analysis block of everything added so far."""
-        per_device = self.device_failures
-        failures_per_device: dict = {}
-        for count in per_device.values():
-            key = str(count)
-            failures_per_device[key] = (
-                failures_per_device.get(key, 0) + 1
-            )
-        corrected = replace(
-            self.partial,
-            failing_devices=len(per_device),
-            oos_devices=len(self.oos),
-            max_failures_single_device=max(per_device.values(),
-                                           default=0),
-            failures_per_device=failures_per_device,
-            failing_devices_by_isp={
-                isp: len(devices)
-                for isp, devices in self.isp_devices.items()
-            },
-        )
-        return corrected.to_block()
-
-
 class PartialCache:
     """Per-segment partials keyed by the committed sha256 digest.
 
@@ -179,9 +82,6 @@ class PartialCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, digest: str) -> SegmentPartial | None:
         batch = self._entries.get(digest)
@@ -229,12 +129,10 @@ class QueryEngine:
         self.cache = PartialCache()
 
     def fold(self) -> FoldResult:
-        from repro.store.segment import SegmentCorruptError
-
-        registry = get_registry()
         store = self.server.store
         if store is None:
             return self._fold_memory()
+        registry = get_registry()
         snapshot = store.query_snapshot()
         hits_before = self.cache.hits
         misses_before = self.cache.misses
@@ -243,66 +141,44 @@ class QueryEngine:
         )
         if pruned and registry.enabled:
             registry.inc("query_cache_invalidations_total", pruned)
-        fold = _Fold()
-        skipped: list[dict] = []
-        n_segments = 0
-        for name in sorted(snapshot.live):
-            entry = snapshot.live[name]
-            batch = self.cache.get(entry["sha256"])
-            if batch is None:
-                try:
-                    rows = store.read_segment(name, entry=entry)
-                except SegmentCorruptError as exc:
-                    registry.inc("query_segments_skipped_total")
-                    skipped.append({"segment": name,
-                                    "reason": exc.reason})
-                    continue
-                batch = SegmentPartial.from_rows(rows)
-                self.cache.put(entry["sha256"], batch)
-            fold.add(batch)
-            n_segments += 1
-        tail_rows = snapshot.tail_rows()
-        if tail_rows:
-            fold.add(SegmentPartial.from_rows(tail_rows))
+        folded = store.fold_snapshot(snapshot, cache=self.cache)
         hits = self.cache.hits - hits_before
         misses = self.cache.misses - misses_before
         if registry.enabled:
+            if folded.skipped:
+                registry.inc("query_segments_skipped_total",
+                             len(folded.skipped))
             if hits:
                 registry.inc("query_cache_hits_total", hits)
             if misses:
                 registry.inc("query_cache_misses_total", misses)
-        block = fold.block()
         return FoldResult(
-            block=block,
+            block=folded.block,
             watermark={
                 "mode": "store",
                 "n_records": snapshot.n_records,
-                "folded_records": block["n_failures"],
-                "n_segments": n_segments,
-                "n_tail": len(tail_rows),
+                "folded_records": folded.block["n_failures"],
+                "n_segments": folded.n_segments,
+                "n_tail": folded.n_tail_records,
             },
-            skipped=skipped,
+            skipped=folded.skipped,
             cache_hits=hits,
             cache_misses=misses,
         )
 
     def _fold_memory(self) -> FoldResult:
-        from repro.analysis.columnar import AnalysisPartial
-        from repro.dataset.store import Dataset
-
         # list() takes a consistent prefix snapshot: the worker only
         # ever appends, so records beyond the copy are simply "after
         # the watermark".
         records = list(self.server.records)
-        block = AnalysisPartial.from_dataset(
-            Dataset(failures=records)
-        ).to_block()
+        fold = _Fold()
+        fold.add(SegmentPartial.from_rows(records, attrgetter))
         return FoldResult(
-            block=block,
+            block=fold.block(),
             watermark={
                 "mode": "memory",
                 "n_records": len(records),
-                "folded_records": block["n_failures"],
+                "folded_records": len(records),
                 "n_segments": 0,
                 "n_tail": 0,
             },
@@ -310,8 +186,6 @@ class QueryEngine:
 
     def answer(self, kind: str) -> dict:
         """The full response envelope for one query kind."""
-        from repro.analysis.columnar import analysis_summary
-
         if kind not in QUERY_KINDS:
             raise QueryPlaneError(
                 f"unknown query kind {kind!r}; "

@@ -14,11 +14,11 @@
   identities.  The tail is only cleared after the commit line is
   durable; any fault before that leaves the records in the tail (and
   in the WAL), never half-owned;
-* **queries fold, never crash** — :meth:`SegmentStore.fold_analysis`
-  folds :class:`~repro.analysis.columnar.AnalysisPartial` aggregates
-  over live segments grouped by device bucket (buckets partition the
-  device population, so the fold is byte-identical to computing over
-  all records at once); corrupt segments are skipped *with
+* **queries fold, never crash** — :meth:`SegmentStore.fold_snapshot`
+  folds one :class:`~repro.analysis.columnar.SegmentPartial` per live
+  segment plus one for the tail (their per-device evidence makes the
+  fold byte-identical to computing over all records at once, however
+  devices spread across segments); corrupt segments are skipped *with
   accounting*, never silently;
 * **scrub classifies and repairs** — :meth:`SegmentStore.scrub`
   verifies every live segment digest, quarantines damaged files,
@@ -48,6 +48,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.columnar import SegmentPartial, _Fold
 from repro.chaos.disk import DiskIO
 from repro.dataset.records import FailureRecord, record_identity
 from repro.obs import get_registry
@@ -127,10 +128,6 @@ class StoreSnapshot:
     tails: dict
     #: Identities the store owned at snapshot time (the watermark).
     n_records: int
-
-    @property
-    def n_tail_records(self) -> int:
-        return sum(len(rows) for rows in self.tails.values())
 
     def tail_rows(self) -> list[dict]:
         """Tail records, partition-major, append order within."""
@@ -325,8 +322,7 @@ class SegmentStore:
 
     def tail_rows(self) -> list[dict]:
         """Unsealed records, partition-major, append order within."""
-        return [data for partition in sorted(self._tails)
-                for _key, data in self._tails[partition]]
+        return self.query_snapshot().tail_rows()
 
     def summary(self) -> dict[str, int]:
         return {
@@ -597,90 +593,80 @@ class SegmentStore:
             )
         return rows
 
+    def _read_or_skip(self, name: str, entry: dict,
+                      skipped: list[dict]) -> list[dict] | None:
+        """Decode one snapshot segment; a corrupt one is counted,
+        recorded in ``skipped`` and answered with ``None``."""
+        registry = get_registry()
+        try:
+            rows = self.read_segment(name, entry=entry)
+        except SegmentCorruptError as exc:
+            registry.inc("store_query_segments_skipped_total")
+            skipped.append({"segment": name, "reason": exc.reason})
+            return None
+        registry.inc("store_query_segments_total")
+        return rows
+
     def iter_rows(self, skipped: list[dict] | None = None):
         """Yield every owned record dict, sealed segments first.
 
-        Corrupt segments are skipped; each skip appends
-        ``{"segment", "reason"}`` to ``skipped`` when provided (and is
-        always counted in the metrics registry).
+        Walks one :meth:`query_snapshot`, so ingest may keep appending
+        while the rows are consumed.  Corrupt segments are skipped;
+        each skip appends ``{"segment", "reason"}`` to ``skipped`` when
+        provided (and is always counted in the metrics registry).
         """
-        registry = get_registry()
-        for name in sorted(self._live):
-            try:
-                rows = self.read_segment(name)
-            except SegmentCorruptError as exc:
-                registry.inc("store_query_segments_skipped_total")
-                if skipped is not None:
-                    skipped.append({"segment": name,
-                                    "reason": exc.reason})
-                continue
-            registry.inc("store_query_segments_total")
-            yield from rows
-        for partition in sorted(self._tails):
-            for _key, data in self._tails[partition]:
-                yield data
+        if skipped is None:
+            skipped = []
+        snapshot = self.query_snapshot()
+        for name in sorted(snapshot.live):
+            rows = self._read_or_skip(name, snapshot.live[name], skipped)
+            if rows is not None:
+                yield from rows
+        yield from snapshot.tail_rows()
 
-    def fold_analysis(self) -> QueryResult:
-        """Fold AnalysisPartials over segments + tail, exactly.
+    def fold_snapshot(self, snapshot: StoreSnapshot,
+                      cache=None) -> QueryResult:
+        """Fold the analysis block of ``snapshot``, exactly.
 
-        Segments are grouped by device bucket; buckets partition the
-        device population, so merging per-bucket partials is exact
-        (byte-identical to analyzing all records at once) even for the
-        distinct-device counters.  Buckets are folded one at a time —
-        a bucket's rows are decoded, reduced to an
-        :class:`~repro.analysis.columnar.AnalysisPartial`, and
-        discarded before the next bucket is read — so peak memory is
-        bounded by the largest device bucket, not the whole store.
-        Ingest may keep appending while this runs — the fold sees the
-        store as of call time.
+        Each live segment reduces to a
+        :class:`~repro.analysis.columnar.SegmentPartial` — looked up
+        in ``cache`` (``get`` / ``put`` keyed by the segment's
+        committed sha256) when one is given, else decoded, reduced and
+        discarded before the next is read — and the tail to one more;
+        their per-device evidence makes the merge byte-identical to
+        analyzing all records at once even though devices span
+        segments.
         """
-        from repro.analysis.columnar import AnalysisPartial
-        from repro.dataset.store import Dataset
-
-        registry = get_registry()
+        fold = _Fold()
         skipped: list[dict] = []
-        # Metadata-only pass: group segment names and tail partitions
-        # by device bucket; no payload is decoded yet.
-        segment_buckets: dict[int, list[str]] = {}
-        for name in sorted(self._live):
-            bucket = int(self._live[name]["partition"][1])
-            segment_buckets.setdefault(bucket, []).append(name)
-        tail_buckets: dict[int, list[tuple[int, int]]] = {}
-        for partition in sorted(self._tails):
-            tail_buckets.setdefault(partition[1], []).append(partition)
-        n_read = 0
-        n_tail = 0
-        partial = AnalysisPartial.from_dataset(Dataset())
-        for bucket in sorted(set(segment_buckets) | set(tail_buckets)):
-            rows: list[dict] = []
-            for name in segment_buckets.get(bucket, ()):
-                try:
-                    segment_rows = self.read_segment(name)
-                except SegmentCorruptError as exc:
-                    registry.inc("store_query_segments_skipped_total")
-                    skipped.append({"segment": name,
-                                    "reason": exc.reason})
+        n_segments = 0
+        for name in sorted(snapshot.live):
+            entry = snapshot.live[name]
+            batch = (cache.get(entry["sha256"])
+                     if cache is not None else None)
+            if batch is None:
+                rows = self._read_or_skip(name, entry, skipped)
+                if rows is None:
                     continue
-                registry.inc("store_query_segments_total")
-                rows.extend(segment_rows)
-                n_read += 1
-            for tail_partition in tail_buckets.get(bucket, ()):
-                tail_rows = [data for _key, data
-                             in self._tails[tail_partition]]
-                n_tail += len(tail_rows)
-                rows.extend(tail_rows)
-            if not rows:
-                continue
-            failures = [FailureRecord.from_dict(row) for row in rows]
-            partial = partial.merge(
-                AnalysisPartial.from_dataset(Dataset(failures=failures))
-            )
+                batch = SegmentPartial.from_rows(rows)
+                if cache is not None:
+                    cache.put(entry["sha256"], batch)
+            fold.add(batch)
+            n_segments += 1
+        tail_rows = snapshot.tail_rows()
+        if tail_rows:
+            fold.add(SegmentPartial.from_rows(tail_rows))
         return QueryResult(
-            block=partial.to_block(),
-            n_segments=n_read,
-            n_tail_records=n_tail,
+            block=fold.block(),
+            n_segments=n_segments,
+            n_tail_records=len(tail_rows),
             skipped=skipped,
         )
+
+    def fold_analysis(self) -> QueryResult:
+        """:meth:`fold_snapshot` of the store as of call time; ingest
+        may keep appending while this runs."""
+        return self.fold_snapshot(self.query_snapshot())
 
     def dataset(self):
         """All owned records as a :class:`~repro.dataset.store.Dataset`.

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import DiskChaos, DiskChaosConfig
 from repro.fleet.scenario import ScenarioConfig
 from repro.fleet.simulator import FleetSimulator
 from repro.network.topology import TopologyConfig
@@ -206,6 +207,34 @@ class TestEngineCheckpointing:
         assert execution["resumed_shards"] == [0, 1, 3]
         [quarantined] = execution["checkpoint"]["quarantined"]
         assert quarantined["shard"] == 2
+
+    def test_torn_artifact_write_quarantined_and_rerun(self, tmp_path):
+        """Disk chaos reaches shard checkpoints through the store's
+        ``io`` seam: a write torn *at write time* (not a file damaged
+        afterwards) is caught by the same digest check on resume."""
+        scenario = tiny_scenario()
+        serial = FleetSimulator(scenario).run()
+        specs = make_shards(scenario.n_devices, 4)
+        chaos = DiskChaos(DiskChaosConfig(seed=5))
+        store = CheckpointStore(tmp_path, scenario_fingerprint(scenario, 4),
+                                4, io=chaos)
+        store.initialize(resume=False, specs=specs)
+        for spec in specs:
+            if spec.index == 2:
+                chaos.force_next("torn-write")
+            store.save(simulate_shard(scenario, spec))
+        [fault] = chaos.injected
+        assert fault["path"].endswith("shard-00002.pkl")
+        assert fault["kept_bytes"] < fault["full_bytes"]
+
+        resumed = run_sharded(scenario, workers=2, n_shards=4,
+                              checkpoint_dir=tmp_path, resume=True)
+        assert resumed.record_digest() == digest(serial)
+        execution = resumed.metadata["execution"]
+        assert execution["resumed_shards"] == [0, 1, 3]
+        [quarantined] = execution["checkpoint"]["quarantined"]
+        assert quarantined["shard"] == 2
+        assert "payload digest mismatch" in quarantined["reason"]
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         run_sharded(tiny_scenario(seed=11), workers=2,

@@ -9,8 +9,10 @@ Two load-bearing guarantees:
   ``metadata["analysis"]`` block is byte-identical to the serial one.
 """
 
+import dataclasses
 import json
 import pickle
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.analysis.columnar import (
     RESOLVED_BY_NONE,
     AnalysisMergeError,
     AnalysisPartial,
+    _build_failures,
     analysis_summary,
     columnar,
     compute_analysis_block,
@@ -143,6 +146,26 @@ class TestColumnarView:
         assert "_columnar" not in restored.__dict__
         assert restored.failures == dataset.failures
 
+    def test_dict_rows_build_the_same_columns_as_records(self):
+        """The segment store folds ``to_dict()`` rows without building
+        the records: same arrays, same dtypes, same category tables."""
+        records = small_dataset().failures + [
+            failure(7, has_5g=True, resolved_by=-2, stages_executed=3,
+                    rat="5G", isp="ISP-C", bs_id=9, model=2),
+        ]
+        rows = [record.to_dict() for record in records]
+        from_rows = _build_failures(rows, itemgetter)
+        from_records = _build_failures(records)
+        for column in dataclasses.fields(from_records):
+            got = getattr(from_rows, column.name)
+            want = getattr(from_records, column.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, column.name
+                assert got.tolist() == want.tolist(), column.name
+            else:
+                assert got == want, column.name
+        assert len(_build_failures([], itemgetter)) == 0
+
     def test_empty_dataset_builds(self):
         view = columnar(Dataset())
         assert len(view.failures) == 0
@@ -151,6 +174,17 @@ class TestColumnarView:
 
 
 class TestAnalysisPartial:
+    def test_from_columns_is_the_reducer_behind_from_dataset(self):
+        dataset = small_dataset()
+        view = columnar(dataset)
+        assert (AnalysisPartial.from_columns(
+                    view.failures, view.transitions, len(view.devices))
+                == AnalysisPartial.from_dataset(dataset))
+        # Failures alone: what a store batch knows.
+        assert (AnalysisPartial.from_columns(view.failures)
+                == AnalysisPartial.from_dataset(
+                    Dataset(failures=dataset.failures)))
+
     def test_counts_match_records(self):
         dataset = small_dataset()
         block = compute_analysis_block(dataset)

@@ -1,5 +1,7 @@
 """Unit tests for dataset records, storage, and aggregation helpers."""
 
+import hashlib
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -116,6 +118,18 @@ class TestDataset:
         dataset = self.make()
         assert set(dataset.devices_by_model()) == {3, 4}
         assert set(dataset.failures_by_device()) == {1, 2}
+
+    def test_record_digest_covers_records_not_metadata(self):
+        dataset = self.make()
+        hasher = hashlib.sha256()
+        for record in dataset.devices + dataset.failures:
+            hasher.update(
+                json.dumps(record.to_dict(), sort_keys=True).encode())
+        assert dataset.record_digest() == hasher.hexdigest()
+        dataset.metadata["seed"] = 2
+        assert dataset.record_digest() == hasher.hexdigest()
+        dataset.failures.reverse()
+        assert dataset.record_digest() != hasher.hexdigest()
 
     def test_merge(self):
         merged = self.make().merge(self.make())

@@ -3,14 +3,21 @@
 These pin down invariants that span modules: the fast episode resolver
 agrees with the integration-grade engine, the prober's error bound
 holds for arbitrary stall lengths, the cause sampler never emits
-filterable codes, and saved datasets always round-trip.
+filterable codes, saved datasets always round-trip, and the store's
+one fold is exact however records are batched.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.columnar import (
+    SegmentPartial,
+    _Fold,
+    compute_analysis_block,
+)
 from repro.android.data_stall import VanillaDataStallDetector
 from repro.android.recovery import (
     AUTO_RECOVERED,
@@ -22,6 +29,8 @@ from repro.android.recovery import (
 )
 from repro.core.errorcodes import ERROR_CODE_REGISTRY
 from repro.core.signal import SignalLevel
+from repro.dataset.records import FailureRecord
+from repro.dataset.store import Dataset
 from repro.monitoring.prober import NetworkStateProber
 from repro.netstack.faults import ActiveFault, FaultKind
 from repro.netstack.stack import DeviceNetStack
@@ -168,3 +177,49 @@ class TestDatasetRoundTripProperty:
         path = tmp_path_factory.mktemp("roundtrip") / "data.jsonl.gz"
         save_dataset(dataset, path)
         assert load_dataset(path).failures == dataset.failures
+
+
+#: Six devices over up to 60 records: every batch shares devices with
+#: the others, which is what the evidence maps exist for.
+_ROW = st.fixed_dictionaries({
+    "device_id": st.integers(0, 5),
+    "model": st.integers(0, 6),
+    "android_version": st.sampled_from(["9", "10"]),
+    "has_5g": st.booleans(),
+    "isp": st.sampled_from(["ISP-A", "ISP-B", "ISP-C"]),
+    "failure_type": st.sampled_from(
+        ["DATA_STALL", "OUT_OF_SERVICE", "DATA_SETUP_ERROR"]),
+    "start_time": st.floats(0.0, 1e6),
+    "duration_s": st.floats(0.0, 1e5),
+    "bs_id": st.integers(0, 400),
+    "rat": st.sampled_from(["3G", "4G", "5G"]),
+    "signal_level": st.integers(0, 5),
+    "deployment": st.sampled_from(["urban", "rural"]),
+    "error_code": st.none() | st.just("E-33"),
+    "resolved_by": st.none() | st.integers(-2, 3),
+    "stages_executed": st.integers(0, 3),
+    "post_transition": st.booleans(),
+    "arm": st.sampled_from(["vanilla", "patched"]),
+})
+
+
+class TestSharedDeviceFoldProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(_ROW, max_size=60),
+        sizes=st.lists(st.integers(0, 12), max_size=10),
+    )
+    def test_any_batching_folds_to_the_offline_block(self, rows, sizes):
+        """Split a record list anywhere (empty batches included):
+        ``_Fold`` over the batches' ``SegmentPartial``s is the one-shot
+        offline block of all the records, byte for byte."""
+        fold = _Fold()
+        at = 0
+        for size in sizes + [len(rows)]:
+            fold.add(SegmentPartial.from_rows(rows[at:at + size]))
+            at += size
+        offline = compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(row) for row in rows
+        ]))
+        assert (json.dumps(fold.block(), sort_keys=True)
+                == json.dumps(offline, sort_keys=True))

@@ -134,6 +134,37 @@ class TestSegmentStore:
         assert query.skipped[0]["segment"] == victim.name
         assert "digest" in query.skipped[0]["reason"]
 
+    def test_fold_is_of_call_time_store_while_ingest_seals(self, tmp_path):
+        """An append that seals a tail mid-fold used to raise
+        ``KeyError``: the fold read ``_live`` / ``_tails``
+        outside the mutex.  It now walks one snapshot, so the answer
+        is exactly the block of what the store held at call time."""
+        records = _records(8, 6)
+        held, late = records[:30], records[30:]
+
+        class AppendsOnFirstSegmentRead(DiskIO):
+            store = None
+
+            def read_bytes(self, path):
+                if self.store is not None and str(path).endswith(".seg"):
+                    store, self.store = self.store, None
+                    for r in late:
+                        store.append(r)
+                return super().read_bytes(path)
+
+        io = AppendsOnFirstSegmentRead()
+        store = _store(tmp_path, seal_records=4, device_bucket=2, io=io)
+        for r in held:
+            store.append(r)
+        io.store = store
+        query = store.fold_analysis()
+        assert io.store is None  # the mid-fold appends did run
+        assert len(store.known_keys()) == len(records)
+        assert query.complete
+        assert (json.dumps(query.block, sort_keys=True)
+                == json.dumps(_direct_block(held), sort_keys=True))
+        assert store.fold_analysis().block == _direct_block(records)
+
     def test_scrub_quarantines_and_recovers_via_wal(self, tmp_path):
         records = _records()
         store = _store(tmp_path)
