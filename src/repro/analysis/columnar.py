@@ -664,13 +664,34 @@ class _Fold:
         for isp, devices in batch.isp_devices.items():
             self.isp_devices.setdefault(isp, set()).update(devices)
 
-    def block(self) -> dict:
-        """The exact analysis block of everything added so far."""
+    def block(self, other: "_Fold | None" = None) -> dict:
+        """The exact analysis block of everything added so far — and,
+        given ``other``, of everything added to either fold.  Neither
+        is mutated, so two running folds (a store reader's sealed and
+        tail sides) answer as one and both carry on afterwards."""
+        partial = self.partial
         per_device = self.device_failures
+        oos = self.oos
+        isp_devices = self.isp_devices
+        if other is not None:
+            partial = partial.merge(other.partial)
+            # Copy the larger map at C speed, walk only the smaller.
+            small, large = per_device, other.device_failures
+            if len(small) > len(large):
+                small, large = large, small
+            per_device = dict(large)
+            for device, count in small.items():
+                per_device[device] = per_device.get(device, 0) + count
+            oos = oos | other.oos
+            isp_devices = {
+                isp: isp_devices.get(isp, frozenset())
+                | other.isp_devices.get(isp, frozenset())
+                for isp in isp_devices.keys() | other.isp_devices.keys()
+            }
         corrected = replace(
-            self.partial,
+            partial,
             failing_devices=len(per_device),
-            oos_devices=len(self.oos),
+            oos_devices=len(oos),
             max_failures_single_device=max(per_device.values(),
                                            default=0),
             failures_per_device=dict(
@@ -678,7 +699,7 @@ class _Fold:
             ),
             failing_devices_by_isp={
                 isp: len(devices)
-                for isp, devices in self.isp_devices.items()
+                for isp, devices in isp_devices.items()
             },
         )
         return corrected.to_block()

@@ -41,7 +41,6 @@ from repro.serve.protocol import (
     RESULT_NAMES,
 )
 from repro.serve.query import (
-    PartialCache,
     QUERY_KINDS,
     QueryEngine,
     QueryPlane,
@@ -71,7 +70,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "OPEN",
     "POLICIES",
-    "PartialCache",
     "PayloadTooLarge",
     "QUERY_KINDS",
     "QUERY_VERSION",

@@ -315,12 +315,24 @@ def read_result(sock: socket.socket) -> tuple[int, dict]:
     return status, body
 
 
-def write_result(sock: socket.socket, status: int,
-                 body: dict | None = None) -> None:
-    """Send one result frame (server side)."""
+def encode_result(body: dict | None) -> bytes:
+    """The wire bytes of a result body: sorted JSON, size-checked.
+
+    Raises :class:`FrameTooLarge` past :data:`MAX_RESULT_BYTES` — the
+    query worker encodes there, so an answer that cannot be framed is
+    an error it reports, not one that kills a handler mid-write.
+    """
     blob = b""
     if body:
         blob = json.dumps(body, sort_keys=True).encode("utf-8")
     if len(blob) > MAX_RESULT_BYTES:
         raise FrameTooLarge(len(blob), MAX_RESULT_BYTES)
+    return blob
+
+
+def write_result(sock: socket.socket, status: int,
+                 body: dict | bytes | None = None) -> None:
+    """Send one result frame (server side); ``bytes`` are a body
+    :func:`encode_result` already produced."""
+    blob = body if isinstance(body, bytes) else encode_result(body)
     sock.sendall(RESULT_HEADER.pack(status, len(blob)) + blob)

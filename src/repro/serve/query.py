@@ -15,12 +15,21 @@ requests over it *live*, with three guarantees:
   :meth:`~repro.store.SegmentStore.query_snapshot` (taken under the
   store's mutation guard), so it never observes a half-applied seal
   even though the ingest worker keeps appending underneath it.
-* **Incrementality** — sealed segments are immutable, so their
-  :class:`SegmentPartial` is cached keyed by the segment's committed
-  sha256 digest.  A steady-state fold recomputes only the unsealed
-  tail; cache entries whose digest left the live set (scrub
-  quarantined the segment, or a re-seal superseded it) are invalidated
-  with accounting.
+* **Incrementality** — the engine keeps one
+  :class:`~repro.store.store.FoldState` for its lifetime: a running
+  fold of the sealed segments it has decoded (by committed sha256)
+  and a running fold of the tail rows it has reduced, with a mark per
+  partition.  An answer decodes only segments it has not seen,
+  reduces only rows appended since the previous answer, and returns
+  the two folds merged, so it costs the new rows — not the tail, not
+  the segment count.  The sealed side is rebuilt (from cached
+  per-segment partials, with accounting) when a folded digest leaves
+  the live set — scrub quarantined the segment, or a re-seal
+  superseded it; the tail side when a mark no longer holds — its
+  partition sealed or was filtered by scrub.  A mark is the tail list
+  itself, checked by *identity*, not by length: a tail that sealed
+  and regrew past its old length between two answers is another list
+  holding other rows.
 
 The :class:`QueryPlane` puts a bounded work queue and a single worker
 thread in front of the engine so query load degrades by *shedding
@@ -31,7 +40,6 @@ which folds hold only for the snapshot copy.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -44,6 +52,7 @@ from repro.analysis.columnar import (
     analysis_summary,
 )
 from repro.obs import LATENCY_BUCKETS_S, get_registry
+from repro.store.store import FoldState
 
 #: The queries the plane answers, in wire-code order.
 QUERY_KINDS = ("stats", "isp_bs", "transitions", "summary")
@@ -67,43 +76,6 @@ class QueryPlaneError(RuntimeError):
     """The query plane could not answer (bad kind, engine fault)."""
 
 
-class PartialCache:
-    """Per-segment partials keyed by the committed sha256 digest.
-
-    Sealed segments are immutable, so a digest fully identifies the
-    batch — entries never go stale, they only become unreachable when
-    their segment leaves the live set (quarantine or supersede), at
-    which point :meth:`prune` drops them with accounting.  Accessed
-    only from the query worker thread; no locking.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, SegmentPartial] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(self, digest: str) -> SegmentPartial | None:
-        batch = self._entries.get(digest)
-        if batch is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return batch
-
-    def put(self, digest: str, batch: SegmentPartial) -> None:
-        self._entries[digest] = batch
-
-    def prune(self, live_digests: set) -> int:
-        """Evict entries for segments no longer live; returns count."""
-        dead = [digest for digest in self._entries
-                if digest not in live_digests]
-        for digest in dead:
-            del self._entries[digest]
-        self.invalidations += len(dead)
-        return len(dead)
-
-
 @dataclass
 class FoldResult:
     """One snapshot-consistent fold, with its provenance."""
@@ -113,45 +85,48 @@ class FoldResult:
     skipped: list = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Rows this fold had to reduce (0 on an unchanged store).
+    rows_folded: int = 0
 
 
 class QueryEngine:
     """Folds analysis blocks over a live :class:`IngestionServer`.
 
-    Store-backed servers fold sealed segments (through the
-    :class:`PartialCache`) plus the WAL-owned tail; legacy in-memory
-    servers fold ``server.records`` directly.  Single-threaded by
-    contract: only the query worker calls :meth:`fold`.
+    Store-backed servers fold through one :class:`FoldState` the
+    engine keeps for its lifetime; legacy in-memory servers fold
+    ``server.records`` directly.  Single-threaded by contract: only
+    the query worker calls :meth:`fold`.
     """
 
     def __init__(self, server) -> None:
         self.server = server
-        self.cache = PartialCache()
+        self.state = FoldState()
+
+    @property
+    def cache(self):
+        """The state's per-segment partials and their hit accounting."""
+        return self.state.cache
 
     def fold(self) -> FoldResult:
         store = self.server.store
         if store is None:
             return self._fold_memory()
-        registry = get_registry()
         snapshot = store.query_snapshot()
-        hits_before = self.cache.hits
-        misses_before = self.cache.misses
-        pruned = self.cache.prune(
-            {entry["sha256"] for entry in snapshot.live.values()}
-        )
-        if pruned and registry.enabled:
-            registry.inc("query_cache_invalidations_total", pruned)
-        folded = store.fold_snapshot(snapshot, cache=self.cache)
-        hits = self.cache.hits - hits_before
-        misses = self.cache.misses - misses_before
+        folded = store.fold_snapshot(snapshot, self.state)
+        registry = get_registry()
         if registry.enabled:
-            if folded.skipped:
-                registry.inc("query_segments_skipped_total",
-                             len(folded.skipped))
-            if hits:
-                registry.inc("query_cache_hits_total", hits)
-            if misses:
-                registry.inc("query_cache_misses_total", misses)
+            for name, amount in (
+                ("query_rows_folded_total", folded.rows_folded),
+                ("query_segments_skipped_total", len(folded.skipped)),
+                ("query_cache_hits_total", folded.cache_hits),
+                ("query_cache_misses_total", folded.cache_misses),
+                ("query_cache_invalidations_total",
+                 folded.invalidations),
+            ):
+                if amount:
+                    registry.inc(name, amount)
+            for side in folded.rebuilt:
+                registry.inc("query_fold_rebuilds_total", side=side)
         return FoldResult(
             block=folded.block,
             watermark={
@@ -162,8 +137,9 @@ class QueryEngine:
                 "n_tail": folded.n_tail_records,
             },
             skipped=folded.skipped,
-            cache_hits=hits,
-            cache_misses=misses,
+            cache_hits=folded.cache_hits,
+            cache_misses=folded.cache_misses,
+            rows_folded=folded.rows_folded,
         )
 
     def _fold_memory(self) -> FoldResult:
@@ -182,6 +158,7 @@ class QueryEngine:
                 "n_segments": 0,
                 "n_tail": 0,
             },
+            rows_folded=len(records),
         )
 
     def answer(self, kind: str) -> dict:
@@ -221,9 +198,11 @@ class _Ticket:
         self.kind = kind
         self.done = threading.Event()
         self.status: int | None = None
-        self.body: dict | None = None
+        #: Encoded wire bytes for ``RESULT_OK``, else a diagnostic dict.
+        self.body: bytes | dict | None = None
         #: Set by the handler when it gave up waiting; the worker
-        #: skips the fold instead of computing an answer nobody reads.
+        #: skips the fold — or, already mid-fold, drops the answer
+        #: uncounted — instead of answering nobody.
         self.abandoned = False
         self.enqueued_at = enqueued_at
 
@@ -234,7 +213,7 @@ class QueryPlane:
     Handler threads :meth:`submit` and wait on the returned ticket;
     ``None`` means the queue was full and the query was shed (the
     caller answers ``RESULT_RETRY``).  The single worker serializes
-    folds, which keeps the :class:`PartialCache` lock-free and bounds
+    folds, which keeps the engine's fold state lock-free and bounds
     the query plane's CPU share to one core regardless of client
     count.
     """
@@ -298,14 +277,22 @@ class QueryPlane:
             self._not_empty.notify()
             return ticket
 
-    def wait(self, ticket: _Ticket) -> tuple[int, dict]:
-        """Block until the ticket is answered or the wait times out."""
+    def wait(self, ticket: _Ticket) -> tuple[int, bytes | dict]:
+        """Block until the ticket is answered or the wait times out.
+
+        The body of a ``RESULT_OK`` is the encoded wire bytes; every
+        other status carries its diagnostic dict.
+        """
         from repro.serve import protocol
 
-        if ticket.done.wait(self.timeout_s):
-            return ticket.status, ticket.body
-        ticket.abandoned = True
+        ticket.done.wait(self.timeout_s)
+        # Under the lock the worker settles tickets with: a query is
+        # either answered or shed, never both, however the timeout
+        # races the fold.
         with self._lock:
+            if ticket.status is not None:
+                return ticket.status, ticket.body
+            ticket.abandoned = True
             self.shed += 1
         get_registry().inc("query_shed_total", reason="timeout")
         return (protocol.RESULT_RETRY,
@@ -330,22 +317,27 @@ class QueryPlane:
             try:
                 envelope = self.engine.answer(ticket.kind)
                 folded = time.monotonic()
-                # Encoding here (not on the handler) keeps oversized /
-                # unserializable results a worker-side error the
-                # handler can still report cleanly.
-                json.dumps(envelope)
-                ticket.status = protocol.RESULT_OK
-                ticket.body = envelope
+                # Encoded once, here: the handler sends these bytes,
+                # and an oversized / unserializable result is this
+                # worker's error to report, not the handler's to die of.
+                body = protocol.encode_result(envelope)
+                status = protocol.RESULT_OK
             except Exception as exc:
-                self.errors += 1
+                status = protocol.RESULT_ERROR
+                body = {"error": f"{type(exc).__name__}: {exc}"}
+            encoded = time.monotonic()
+            with self._lock:
+                if ticket.abandoned:
+                    # Timed out mid-fold: wait() counted it as shed.
+                    continue
+                ticket.status, ticket.body = status, body
+                if status == protocol.RESULT_OK:
+                    self.answered += 1
+                else:
+                    self.errors += 1
+            if status != protocol.RESULT_OK:
                 registry.inc("query_errors_total")
-                ticket.status = protocol.RESULT_ERROR
-                ticket.body = {"error": f"{type(exc).__name__}: {exc}"}
-                ticket.done.set()
-                continue
-            self.answered += 1
-            if registry.enabled:
-                encoded = time.monotonic()
+            elif registry.enabled:
                 registry.observe("query_stage_seconds",
                                  started - ticket.enqueued_at,
                                  buckets=LATENCY_BUCKETS_S,

@@ -17,7 +17,9 @@ from repro.store.segment import (
     segment_digest,
 )
 from repro.store.store import (
+    FoldState,
     JOURNAL_VERSION,
+    PartialCache,
     QueryResult,
     ScrubReport,
     SegmentStore,
@@ -26,7 +28,9 @@ from repro.store.store import (
 )
 
 __all__ = [
+    "FoldState",
     "JOURNAL_VERSION",
+    "PartialCache",
     "QueryResult",
     "ScrubReport",
     "SEGMENT_VERSION",

@@ -16,10 +16,12 @@
   in the WAL), never half-owned;
 * **queries fold, never crash** — :meth:`SegmentStore.fold_snapshot`
   folds one :class:`~repro.analysis.columnar.SegmentPartial` per live
-  segment plus one for the tail (their per-device evidence makes the
+  segment plus the tail rows (their per-device evidence makes the
   fold byte-identical to computing over all records at once, however
-  devices spread across segments); corrupt segments are skipped *with
-  accounting*, never silently;
+  devices spread across segments), and a reader that keeps its
+  :class:`FoldState` pays only for what was appended since its last
+  fold; corrupt segments are skipped *with accounting*, never
+  silently;
 * **scrub classifies and repairs** — :meth:`SegmentStore.scrub`
   verifies every live segment digest, quarantines damaged files,
   re-adopts valid orphans (a crash between rename and commit),
@@ -46,6 +48,8 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import is_, ne
 from pathlib import Path
 
 from repro.analysis.columnar import SegmentPartial, _Fold
@@ -104,6 +108,15 @@ class QueryResult:
     #: Segments that failed verification mid-query, with reasons —
     #: the fold continued without them (skip-with-accounting).
     skipped: list[dict] = field(default_factory=list)
+    #: Rows this fold reduced (decoded segments + new tail rows).
+    rows_folded: int = 0
+    #: Live segments answered without decoding / that it had to read.
+    cache_hits: int = 0
+    cache_misses: int = 0
+    #: Cached partials dropped because their segment left the live set.
+    invalidations: int = 0
+    #: Sides of the :class:`FoldState` rebuilt: "sealed" and/or "tail".
+    rebuilt: tuple[str, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -115,24 +128,120 @@ class StoreSnapshot:
     """A consistent point-in-time view for concurrent readers.
 
     Sealed segments are immutable once committed, so the snapshot only
-    copies *references*: the live commit-entry map, the tail row lists
-    (records themselves are never mutated after append), and the owned
-    identity count.  A reader folding over the snapshot sees exactly
-    the store as of the snapshot instant no matter how far ingest has
-    advanced since.
+    copies *references*: the live commit-entry map, the store's own
+    tail lists, and the owned identity count.  A tail list is shared,
+    not copied — the store only ever appends to one (see
+    ``SegmentStore._tails``), so the list plus the length it had under
+    the mutex *is* its state at the snapshot instant.  A reader
+    folding over the snapshot sees exactly the store as of that
+    instant no matter how far ingest has advanced since.
     """
 
     #: Segment name -> journal commit entry (immutable once written).
     live: dict
-    #: Partition -> list of ``(key, data)`` tail rows, append order.
+    #: Partition -> the store's own append-only list of ``(key, data)``
+    #: tail rows.  Shared: read no further than ``tail_lengths`` says.
     tails: dict
+    #: Rows each tail held at the snapshot instant, in ``tails`` order.
+    tail_lengths: list
     #: Identities the store owned at snapshot time (the watermark).
     n_records: int
 
     def tail_rows(self) -> list[dict]:
         """Tail records, partition-major, append order within."""
-        return [data for partition in sorted(self.tails)
-                for _key, data in self.tails[partition]]
+        return [data
+                for partition, n in sorted(zip(self.tails,
+                                               self.tail_lengths))
+                for _key, data in islice(self.tails[partition], n)]
+
+
+class PartialCache:
+    """Per-segment partials keyed by the committed sha256 digest.
+
+    Sealed segments are immutable, so a digest fully identifies the
+    batch — entries never go stale, they only become unreachable when
+    their segment leaves the live set (quarantine or supersede), at
+    which point :meth:`prune` drops them with accounting.  It is what
+    a :class:`FoldState` rebuilds its sealed side from.  ``hits``
+    counts live segments a fold answered without decoding them,
+    ``misses`` the ones it had to read.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[str, SegmentPartial] = {}
+        self.hits = 0
+        self.misses = 0
+        self.invalidations = 0
+
+    def prune(self, live_digests) -> int:
+        """Evict entries for segments no longer live; returns count."""
+        dead = [digest for digest in self.entries
+                if digest not in live_digests]
+        for digest in dead:
+            del self.entries[digest]
+        self.invalidations += len(dead)
+        return len(dead)
+
+
+class FoldState:
+    """What a reader carries between folds, so that an answer costs
+    the rows appended since its previous one.
+
+    Two running folds.  ``sealed`` holds exactly the segments in
+    ``cache`` — its keys are the digests already folded — and is
+    rebuilt from the cached partials when one of them leaves the live
+    set (a running fold cannot subtract).  ``tail`` holds the first
+    ``done[i]`` rows of tail list ``tails[i]``, and is rebuilt from
+    the snapshot when :func:`_tail_delta` finds one of those lists
+    gone.  A segment that fails verification never enters the state,
+    so it is retried and reported on every fold.
+
+    Nothing here refers to the store by name or position — sealed
+    content is keyed by digest, tails by object identity — so a state
+    that outlives what it folded (scrub, a swapped store) rebuilds
+    instead of answering wrongly.  One thread owns a state.
+    """
+
+    def __init__(self) -> None:
+        self.cache = PartialCache()
+        self.sealed = _Fold()
+        self.tail = _Fold()
+        #: The tail lists folded so far, in snapshot order, and how
+        #: many rows of each: the marks.
+        self.tails: list = []
+        self.done: list = []
+
+
+def _tail_delta(snapshot: StoreSnapshot,
+                state: FoldState) -> list[dict] | None:
+    """The tail rows appended since ``state`` last folded, moving its
+    marks past them — or ``None``, state untouched, if a mark no
+    longer holds.
+
+    A mark is the tail list *itself* and the rows of it folded; it
+    holds while the snapshot still has that very list at that
+    position.  Length is no guard — a tail that sealed and regrew past
+    its old length between two folds holds other rows — and identity
+    is one: a store only ever appends to a tail list, and a seal or a
+    scrub that takes rows out drops the list or puts a new one in its
+    place (see ``SegmentStore._tails``), so the same list has the same
+    prefix.  Snapshots list tails in the store's insertion order, so a
+    dropped one shifts or shortens the sequence and the position-wise
+    comparison — at C speed, this is the one pass an answer makes over
+    every partition — sees it.
+    """
+    lists = list(snapshot.tails.values())
+    lengths = snapshot.tail_lengths
+    if len(lists) < len(state.tails) or not all(
+            map(is_, lists, state.tails)):
+        return None
+    done = state.done + [0] * (len(lists) - len(state.done))
+    fresh = [data
+             for at in compress(range(len(lists)),
+                                map(ne, lengths, done))
+             for _key, data in lists[at][done[at]:lengths[at]]]
+    state.tails, state.done = lists, lengths
+    return fresh
 
 
 @dataclass
@@ -252,6 +361,10 @@ class SegmentStore:
         self.device_bucket = int(device_bucket)
         self.wal = wal
         #: Unsealed records per partition, append order preserved.
+        #: A tail list is only ever appended to, or dropped / replaced
+        #: whole by a new list (seal, orphan adoption): snapshots
+        #: share the lists and :class:`FoldState` marks them by
+        #: identity on the strength of that.
         self._tails: dict[tuple[int, int], list[tuple[str, dict]]] = {}
         #: Live commit entries by segment file name.
         self._live: dict[str, dict] = {}
@@ -555,13 +668,14 @@ class SegmentStore:
 
         Taken under the mutation guard, so a fold never observes a
         half-applied seal (tail cleared but segment not yet live) no
-        matter how ingest interleaves.  Cheap: reference copies only.
+        matter how ingest interleaves.  Cheap: reference copies only,
+        and the tail lists are shared with their lengths, not copied.
         """
         with self._mutex:
             return StoreSnapshot(
                 live=dict(self._live),
-                tails={partition: list(rows)
-                       for partition, rows in self._tails.items()},
+                tails=dict(self._tails),
+                tail_lengths=list(map(len, self._tails.values())),
                 n_records=len(self._known),
             )
 
@@ -625,48 +739,71 @@ class SegmentStore:
         yield from snapshot.tail_rows()
 
     def fold_snapshot(self, snapshot: StoreSnapshot,
-                      cache=None) -> QueryResult:
-        """Fold the analysis block of ``snapshot``, exactly.
+                      state: FoldState) -> QueryResult:
+        """Fold the analysis block of ``snapshot``, exactly, doing
+        only the work ``state`` has not done already.
 
-        Each live segment reduces to a
-        :class:`~repro.analysis.columnar.SegmentPartial` — looked up
-        in ``cache`` (``get`` / ``put`` keyed by the segment's
-        committed sha256) when one is given, else decoded, reduced and
-        discarded before the next is read — and the tail to one more;
-        their per-device evidence makes the merge byte-identical to
-        analyzing all records at once even though devices span
-        segments.
+        The block is that of two running folds of
+        :class:`~repro.analysis.columnar.SegmentPartial` batches — the
+        sealed segments and the tail rows — whose per-device evidence
+        makes it byte-identical to analyzing all records at once even
+        though devices span segments.  A segment is decoded and
+        reduced the first time a state sees its digest, a tail row the
+        first time a state sees it; with a fresh :class:`FoldState`
+        that is everything (:meth:`fold_analysis`), with one kept
+        between calls it is what was appended since the last one.
         """
-        fold = _Fold()
+        cache = state.cache
+        by_digest = {entry["sha256"]: name
+                     for name, entry in snapshot.live.items()}
+        rebuilt = []
+        invalidated = 0
+        if not cache.entries.keys() <= by_digest.keys():
+            # A folded segment left the live set (scrub quarantine,
+            # supersede): refold the survivors from their partials.
+            invalidated = cache.prune(by_digest.keys())
+            state.sealed = _Fold()
+            for batch in cache.entries.values():
+                state.sealed.add(batch)
+            rebuilt.append("sealed")
+        unseen = by_digest.keys() - cache.entries.keys()
         skipped: list[dict] = []
-        n_segments = 0
-        for name in sorted(snapshot.live):
+        rows_folded = 0
+        for name in sorted(by_digest[digest] for digest in unseen):
             entry = snapshot.live[name]
-            batch = (cache.get(entry["sha256"])
-                     if cache is not None else None)
-            if batch is None:
-                rows = self._read_or_skip(name, entry, skipped)
-                if rows is None:
-                    continue
-                batch = SegmentPartial.from_rows(rows)
-                if cache is not None:
-                    cache.put(entry["sha256"], batch)
-            fold.add(batch)
-            n_segments += 1
-        tail_rows = snapshot.tail_rows()
-        if tail_rows:
-            fold.add(SegmentPartial.from_rows(tail_rows))
+            rows = self._read_or_skip(name, entry, skipped)
+            if rows is None:
+                continue
+            batch = SegmentPartial.from_rows(rows)
+            cache.entries[entry["sha256"]] = batch
+            state.sealed.add(batch)
+            rows_folded += len(rows)
+        fresh = _tail_delta(snapshot, state)
+        if fresh is None:
+            state.tail, state.tails, state.done = _Fold(), [], []
+            fresh = _tail_delta(snapshot, state)
+            rebuilt.append("tail")
+        if fresh:
+            state.tail.add(SegmentPartial.from_rows(fresh))
+        hits = len(by_digest) - len(unseen)
+        cache.hits += hits
+        cache.misses += len(unseen)
         return QueryResult(
-            block=fold.block(),
-            n_segments=n_segments,
-            n_tail_records=len(tail_rows),
+            block=state.sealed.block(state.tail),
+            n_segments=len(by_digest) - len(skipped),
+            n_tail_records=state.tail.partial.n_failures,
             skipped=skipped,
+            rows_folded=rows_folded + len(fresh),
+            cache_hits=hits,
+            cache_misses=len(unseen),
+            invalidations=invalidated,
+            rebuilt=tuple(rebuilt),
         )
 
     def fold_analysis(self) -> QueryResult:
-        """:meth:`fold_snapshot` of the store as of call time; ingest
-        may keep appending while this runs."""
-        return self.fold_snapshot(self.query_snapshot())
+        """:meth:`fold_snapshot` of the store as of call time, from a
+        fresh state; ingest may keep appending while this runs."""
+        return self.fold_snapshot(self.query_snapshot(), FoldState())
 
     def dataset(self):
         """All owned records as a :class:`~repro.dataset.store.Dataset`.

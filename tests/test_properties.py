@@ -223,3 +223,22 @@ class TestSharedDeviceFoldProperty:
         ]))
         assert (json.dumps(fold.block(), sort_keys=True)
                 == json.dumps(offline, sort_keys=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_ROW, max_size=60), cut=st.integers(0, 60))
+    def test_two_folds_answer_as_one_and_carry_on(self, rows, cut):
+        """``left.block(right)`` is the offline block of both folds'
+        records, whichever side asks, and mutates neither — the two
+        running folds of a store reader stay usable."""
+        left, right = _Fold(), _Fold()
+        left.add(SegmentPartial.from_rows(rows[:cut]))
+        right.add(SegmentPartial.from_rows(rows[cut:]))
+        alone = [json.dumps(fold.block(), sort_keys=True)
+                 for fold in (left, right)]
+        offline = json.dumps(compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(row) for row in rows
+        ])), sort_keys=True)
+        assert json.dumps(left.block(right), sort_keys=True) == offline
+        assert json.dumps(right.block(left), sort_keys=True) == offline
+        assert alone == [json.dumps(fold.block(), sort_keys=True)
+                         for fold in (left, right)]

@@ -25,6 +25,7 @@ from repro.obs import ThreadSafeRegistry, use_registry
 from repro.serve import (
     IngestService,
     QueryClient,
+    QueryError,
     ServeConfig,
     SocketTransport,
     protocol,
@@ -76,6 +77,45 @@ def mixed_records(n_devices=6, per_device=5):
         if index % 4 == 0:
             record["failure_type"] = "OUT_OF_SERVICE"
     return records
+
+
+class FakeServer:
+    """The one attribute of an ``IngestionServer`` the engine reads."""
+
+    def __init__(self, store):
+        self.store = store
+
+
+def tail_store(tmp_path, seal_records=4):
+    """One partition per device bucket of two, sealing at four rows."""
+    return SegmentStore(tmp_path / "store", seal_records=seal_records,
+                        time_bucket_s=1e9, device_bucket=2)
+
+
+def rows_of(device_id, n, seed=1):
+    """``n`` distinct rows of one device (so of one partition)."""
+    rows = mixed_records(n_devices=device_id + 1, per_device=n)
+    return [dict(row, start_time=row["start_time"] + seed * 1e6)
+            for row in rows if row["device_id"] == device_id]
+
+
+def assert_exact(engine, store):
+    """The engine's answer, a fold from scratch and the offline
+    analysis agree byte for byte, and the watermark is the owned
+    count."""
+    fold = engine.fold()
+    offline = compute_analysis_block(store.dataset())
+    assert canonical(fold.block) == canonical(offline)
+    assert canonical(store.fold_analysis().block) == canonical(offline)
+    assert fold.watermark["n_records"] == len(store.known_keys())
+    assert not fold.skipped
+    return fold
+
+
+def flip_a_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 class TestQueryProtocol:
@@ -176,12 +216,7 @@ class TestEngineExactness:
         store = store_with_records(tmp_path, records)
         assert store.n_segments > 1  # devices genuinely span segments
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         fold = engine.fold()
         offline = compute_analysis_block(store.dataset())
         assert canonical(fold.block) == canonical(offline)
@@ -194,12 +229,7 @@ class TestEngineExactness:
     def test_second_fold_hits_the_cache(self, tmp_path):
         store = store_with_records(tmp_path, mixed_records())
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         first = engine.fold()
         assert first.cache_hits == 0
         assert first.cache_misses == store.n_segments
@@ -212,12 +242,7 @@ class TestEngineExactness:
         records = mixed_records()
         store = SegmentStore(tmp_path / "store", seal_records=4)
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         for index, record in enumerate(records):
             store.append(record, key=record_identity(record))
             if index % 7 == 0:
@@ -248,12 +273,7 @@ class TestEngineExactness:
     def test_summary_answer_matches_offline_summary(self, tmp_path):
         store = store_with_records(tmp_path, mixed_records())
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         envelope = engine.answer("summary")
         offline = analysis_summary(
             compute_analysis_block(store.dataset())
@@ -270,12 +290,7 @@ class TestCacheInvalidation:
         blob[len(blob) // 2] ^= 0xFF
         victim.write_bytes(bytes(blob))
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         with use_registry(registry):
             fold = engine.fold()
         assert len(fold.skipped) == 1
@@ -290,12 +305,7 @@ class TestCacheInvalidation:
         registry = ThreadSafeRegistry()
         store = store_with_records(tmp_path, mixed_records())
 
-        class FakeServer:
-            pass
-
-        server = FakeServer()
-        server.store = store
-        engine = QueryEngine(server)
+        engine = QueryEngine(FakeServer(store))
         first = engine.fold()  # populate the cache
         assert first.cache_misses == store.n_segments
         victim = sorted(store.segments_dir.glob("*.seg"))[0]
@@ -325,6 +335,206 @@ class TestCacheInvalidation:
         )
         assert not fold.skipped
 
+
+class TestCarriedFold:
+    """The engine carries its fold between answers: an answer costs
+    the rows appended since the last one.  Gated on counts, not on a
+    clock."""
+
+    def test_an_answer_folds_exactly_the_rows_appended(self, tmp_path):
+        registry = ThreadSafeRegistry()
+        records = mixed_records(n_devices=8, per_device=6)
+        store = SegmentStore(tmp_path / "store", seal_records=1000,
+                             time_bucket_s=60.0, device_bucket=3)
+        engine = QueryEngine(FakeServer(store))
+        at = 0
+        with use_registry(registry):
+            for k in (5, 1, 17, 0, 9):
+                store.append_many(
+                    [(row, None) for row in records[at:at + k]])
+                at += k
+                fold = engine.fold()
+                assert fold.rows_folded == k
+                assert fold.cache_misses == 0
+                assert fold.watermark["n_tail"] == at
+                assert canonical(fold.block) == canonical(
+                    compute_analysis_block(store.dataset()))
+        counters = registry.snapshot()["counters"]
+        assert counters["query_rows_folded_total"] == at
+        assert not any(name.startswith("query_fold_rebuilds_total")
+                       for name in counters)
+
+    def test_an_unchanged_store_costs_nothing(self, tmp_path):
+        store = store_with_records(tmp_path, mixed_records(),
+                                   seal_records=4)
+        assert store.n_segments > 1 and store.n_tail_records > 0
+        engine = QueryEngine(FakeServer(store))
+        first = engine.fold()
+        assert first.rows_folded == len(store.known_keys())
+        again = engine.fold()
+        assert again.rows_folded == 0
+        assert again.cache_misses == 0  # no segment decoded
+        assert again.cache_hits == store.n_segments
+        assert canonical(again.block) == canonical(first.block)
+
+    def test_an_answer_across_one_seal_decodes_one_segment(
+        self, tmp_path
+    ):
+        registry = ThreadSafeRegistry()
+        store = tail_store(tmp_path)
+        rows = rows_of(0, 6)
+        other = rows_of(2, 3)
+        engine = QueryEngine(FakeServer(store))
+        store.append_many([(row, None) for row in rows[:3] + other])
+        engine.fold()
+        with use_registry(registry):
+            # The fourth row of the partition seals it; two more
+            # start its next tail.
+            store.append_many([(row, None) for row in rows[3:]])
+            assert store.n_segments == 1
+            fold = assert_exact(engine, store)
+        assert fold.cache_misses == 1
+        # The segment's four rows, and the tail side from scratch:
+        # the other partition's three rows and the two new ones.
+        assert fold.rows_folded == 4 + 3 + 2
+        counters = registry.snapshot()["counters"]
+        assert counters['query_fold_rebuilds_total{side="tail"}'] == 1
+        assert 'query_fold_rebuilds_total{side="sealed"}' not in counters
+        assert counters["query_rows_folded_total"] == 9
+        after = engine.fold()
+        assert (after.rows_folded, after.cache_misses) == (0, 0)
+
+    def test_a_tail_that_sealed_and_regrew_is_not_taken_for_itself(
+        self, tmp_path
+    ):
+        """Between two answers a folded tail seals and a new one grows
+        to the folded length: the rows differ, so length is no guard."""
+        store = tail_store(tmp_path, seal_records=100)
+        rows = rows_of(0, 6)
+        engine = QueryEngine(FakeServer(store))
+        store.append_many([(row, None) for row in rows[:3]])
+        assert engine.fold().watermark["n_tail"] == 3
+        (partition,) = store.query_snapshot().tails
+        assert store.seal(partition) is not None
+        store.append_many([(row, None) for row in rows[3:]])
+        assert store.n_tail_records == 3  # as long as the folded tail
+        fold = assert_exact(engine, store)
+        assert fold.watermark["n_tail"] == 3
+        assert fold.watermark["n_segments"] == 1
+
+    def test_recovered_rows_rejoin_a_folded_tail(self, tmp_path):
+        """Scrub quarantines a folded segment and its WAL rows land
+        behind a tail the engine has folded too: the sealed side is
+        rebuilt without them, the tail side just grows."""
+        store = tail_store(tmp_path)
+        rows = rows_of(0, 6)
+        engine = QueryEngine(FakeServer(store))
+        store.append_many([(row, None) for row in rows])
+        first = engine.fold()
+        assert first.watermark["n_segments"] == 1
+        assert first.watermark["n_tail"] == 2
+        flip_a_byte(next(store.segments_dir.glob("*.seg")))
+        report = store.scrub(repair=True)
+        assert len(report.recovered_keys) == 4
+        registry = ThreadSafeRegistry()
+        with use_registry(registry):
+            fold = assert_exact(engine, store)
+        assert fold.rows_folded == 4
+        assert fold.watermark["n_segments"] == 0
+        assert fold.watermark["n_tail"] == 6
+        counters = registry.snapshot()["counters"]
+        assert counters['query_fold_rebuilds_total{side="sealed"}'] == 1
+        assert 'query_fold_rebuilds_total{side="tail"}' not in counters
+        assert counters["query_cache_invalidations_total"] == 1
+
+    def test_a_corrupt_segment_is_retried_on_every_answer(
+        self, tmp_path
+    ):
+        store = store_with_records(tmp_path, mixed_records())
+        victim = sorted(store.segments_dir.glob("*.seg"))[0]
+        original = victim.read_bytes()
+        flip_a_byte(victim)
+        engine = QueryEngine(FakeServer(store))
+        for _ in range(2):
+            fold = engine.fold()
+            assert [s["segment"] for s in fold.skipped] == [victim.name]
+            assert fold.cache_misses >= 1
+        # Never folded, so nothing to rebuild once it reads again.
+        victim.write_bytes(original)
+        healed = assert_exact(engine, store)
+        assert healed.cache_misses == 1
+
+    def test_folds_stay_exact_while_another_thread_appends(
+        self, tmp_path
+    ):
+        """Snapshots share the store's tail lists with the ingest
+        thread.  One writer appends in a fixed order while readers —
+        more threads than cores, a short switch interval — keep
+        answering, each with its own engine: every answer must be the
+        offline fold of exactly its watermark's prefix of that
+        order."""
+        import sys
+
+        from repro.dataset.records import FailureRecord
+        from repro.dataset.store import Dataset
+
+        records = mixed_records(n_devices=40, per_device=10)
+        store = SegmentStore(tmp_path / "store", seal_records=16,
+                             time_bucket_s=120.0, device_bucket=4,
+                             wal=False)
+        writing = threading.Event()
+        written = threading.Event()
+        folded = threading.Event()
+        answers: list[list] = [[], [], []]
+
+        def writer():
+            writing.wait(timeout=5.0)
+            for at in range(0, len(records), 3):
+                # A writer in a tight loop keeps the store mutex to
+                # itself: let some fold finish after each batch.
+                folded.clear()
+                store.append_many(
+                    [(row, None) for row in records[at:at + 3]])
+                folded.wait(timeout=0.5)
+            written.set()
+
+        def reader(folds):
+            engine = QueryEngine(FakeServer(store))
+            deadline = time.monotonic() + 20.0
+            while not written.is_set() and time.monotonic() < deadline:
+                folds.append(engine.fold())
+                folded.set()
+            folds.append(engine.fold())
+
+        threads = [threading.Thread(target=writer, daemon=True)] + [
+            threading.Thread(target=reader, args=(folds,), daemon=True)
+            for folds in answers
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            writing.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        prefixes: dict[int, str] = {}
+        for folds in answers:
+            assert folds[-1].watermark["n_records"] == len(records)
+            for fold in folds:
+                n = fold.watermark["n_records"]
+                if n not in prefixes:
+                    prefixes[n] = canonical(compute_analysis_block(
+                        Dataset(failures=[
+                            FailureRecord.from_dict(row)
+                            for row in records[:n]
+                        ])))
+                assert canonical(fold.block) == prefixes[n], n
+        # The readers really did answer mid-stream.
+        assert len(prefixes) > 3
 
 class BlockingEngine:
     """Engine stub whose answers gate on an event (plane tests)."""
@@ -383,6 +593,12 @@ class TestQueryPlane:
         snapshot = registry.snapshot()
         assert snapshot["counters"][
             'query_shed_total{reason="timeout"}'] == 1
+        # The worker was mid-fold when the handler gave up: the query
+        # is shed, once — not also an answer with stage samples.
+        assert plane.shed == 1
+        assert plane.answered == 0
+        assert not any(name.startswith("query_stage_seconds")
+                       for name in snapshot["histograms"])
 
     def test_engine_fault_answers_result_error(self):
         class FaultyEngine:
@@ -477,6 +693,37 @@ class TestServiceQueries:
         assert second["cache"]["misses"] == 0
         snapshot = registry.snapshot()
         assert snapshot["counters"]["query_cache_hits_total"] > 0
+
+    def test_oversized_result_answers_error_not_a_dead_handler(
+        self, monkeypatch
+    ):
+        """An answer too large to frame is the worker's error to
+        report: the client reads ``RESULT_ERROR`` and the connection
+        — its handler thread — keeps serving."""
+
+        class Engine:
+            size = 8192
+
+            def answer(self, kind):
+                return {"query": kind, "result": "x" * self.size}
+
+        monkeypatch.setattr(protocol, "MAX_RESULT_BYTES", 4096)
+        registry = ThreadSafeRegistry()
+        with use_registry(registry):
+            service = IngestService().start()
+            engine = service.query_plane.engine = Engine()
+            try:
+                with QueryClient(*service.address) as client:
+                    with pytest.raises(QueryError, match="FrameTooLarge"):
+                        client.stats()
+                    engine.size = 16
+                    assert client.stats()["result"] == "x" * 16
+            finally:
+                service.stop(drain=False)
+        assert service.query_plane.errors == 1
+        assert service.query_plane.answered == 1
+        assert registry.snapshot()["counters"][
+            "query_errors_total"] == 1
 
     def test_queries_answer_while_ingest_continues(self, tmp_path):
         """A query must not wait for ingest to go idle: with the
