@@ -29,7 +29,6 @@ Exits non-zero on any violation — the CI gate for the serve stack.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import tempfile
@@ -42,6 +41,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.backend.ingest import IngestionServer  # noqa: E402
 from repro.chaos.config import ChaosConfig  # noqa: E402
 from repro.chaos.reconcile import reconcile  # noqa: E402
+from repro.dataset.records import record_identity  # noqa: E402
+from repro.dataset.store import Dataset  # noqa: E402
 from repro.serve.harness import (  # noqa: E402
     ServeProcess,
     connection_storm,
@@ -58,23 +59,17 @@ from repro.serve.harness import (  # noqa: E402
 CHAOS = dict(drop_rate=0.15, duplicate_rate=0.1, reorder_rate=0.05)
 
 
-def dataset_digest(server_snapshot: dict) -> str:
-    hasher = hashlib.sha256()
-    for line in sorted(
-        json.dumps(record, sort_keys=True)
-        for record in server_snapshot["records"]
-    ):
-        hasher.update(line.encode())
-    return hasher.hexdigest()
-
-
 def reconcile_checkpoint(drive, checkpoint: Path):
+    """The checkpoint's reconciliation report, and the digest of its
+    records in identity order (arrival order differs run to run)."""
     snapshot = json.loads(checkpoint.read_text())
     server = IngestionServer.restore(snapshot["server"])
+    records = sorted(server.records,
+                     key=lambda record: record_identity(record.to_dict()))
     return reconcile(
         drive.emitted, server, drive.batchers.values(),
         transport=drive.chaos_transport, service=snapshot,
-    ), snapshot
+    ), Dataset(failures=records).record_digest()
 
 
 def fail(message: str) -> int:
@@ -111,13 +106,12 @@ def main(argv: list[str] | None = None) -> int:
         drive.close()
         if code != 0:
             return fail(f"control serve exited {code}")
-        report, snapshot = reconcile_checkpoint(drive, ctrl_ckpt)
+        report, control_digest = reconcile_checkpoint(drive, ctrl_ckpt)
         if not report.ok:
             return fail("control run had unexplained losses:\n"
                         + report.render())
         if report.accepted != total:
             return fail(f"control accepted {report.accepted}/{total}")
-        control_digest = dataset_digest(snapshot["server"])
         print(f"      accepted={report.accepted} "
               f"duplicates={report.duplicates} "
               f"digest={control_digest[:12]}")
@@ -144,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
             return fail(f"soak serve exited {code} mid-drain: {tail}")
         if "checkpoint written" not in tail:
             return fail(f"soak drain never checkpointed: {tail!r}")
-        report, snapshot = reconcile_checkpoint(drive, soak_ckpt)
+        report, _digest = reconcile_checkpoint(drive, soak_ckpt)
         if not report.ok:
             return fail("interrupted run had unexplained losses:\n"
                         + report.render())
@@ -171,14 +165,13 @@ def main(argv: list[str] | None = None) -> int:
         drive.close()
         if code != 0:
             return fail(f"resumed serve exited {code}")
-        report, snapshot = reconcile_checkpoint(drive, soak_ckpt)
+        report, final_digest = reconcile_checkpoint(drive, soak_ckpt)
         if not report.ok:
             return fail("resumed run had unexplained losses:\n"
                         + report.render())
         if report.accepted != total:
             return fail(f"resumed run accepted "
                         f"{report.accepted}/{total}")
-        final_digest = dataset_digest(snapshot["server"])
         if final_digest != control_digest:
             return fail("resumed dataset diverged from the "
                         f"uninterrupted control run "

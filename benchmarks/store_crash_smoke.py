@@ -177,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
                         "undisturbed control run")
         # The store itself must also be scrub-clean and whole.
         survivor = SegmentStore(crash_store, seal_records=8)
-        if len(survivor.known_keys()) != total:
-            return fail(f"store owns {len(survivor.known_keys())}"
+        if len(set(survivor)) != total:
+            return fail(f"store owns {len(set(survivor))}"
                         f"/{total} records after resume")
         if not survivor.scrub(repair=False).ok:
             return fail("post-resume scrub found lost records")

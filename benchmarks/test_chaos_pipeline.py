@@ -4,8 +4,8 @@ Ships a 1k-device fleet's failure records through the lossy transport
 (drop + duplicate + reorder + corrupt + two backend outages) and
 requires the end-to-end reconciliation to explain every missing
 record; then checks that retries at low loss reproduce the lossless
-accepted set exactly, and that backend dedup keeps the streaming
-aggregates double-count-free under heavy duplication.
+accepted set exactly, and that backend dedup keeps the live fold
+double-count-free under heavy duplication.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.chaos import ChaosConfig, run_telemetry_pipeline
 from repro.fleet.scenario import ScenarioConfig
 from repro.fleet.simulator import FleetSimulator
 from repro.network.topology import TopologyConfig
+from repro.serve.query import QueryEngine
 from repro.simtime import SECONDS_PER_MONTH
 
 _STUDY_MONTHS = 8.0
@@ -97,15 +98,13 @@ def test_low_drop_retries_match_lossless_run(fleet_ds):
 
 
 def test_dedup_holds_under_duplication(fleet_ds):
-    """No record is double-counted in the streaming aggregates, no
-    matter how many duplicate deliveries the transport injects."""
+    """No record is double-counted in the live fold, no matter how
+    many duplicate deliveries the transport injects."""
     chaos = ChaosConfig(seed=77, drop_rate=0.05, duplicate_rate=0.20)
     result = run_telemetry_pipeline(fleet_ds, chaos)
     server = result.server
 
     assert server.duplicates > 0
     assert server.accepted == len(server.accepted_keys)
-    assert sum(
-        stats.count for stats in server.duration_stats.values()
-    ) == server.accepted
-    assert server.duration_median.count == server.accepted
+    assert (QueryEngine(server).fold().block["n_failures"]
+            == server.accepted)

@@ -3,11 +3,11 @@
 Runs a small fleet, ships every failure record through the device-side
 :class:`~repro.monitoring.uploader.UploadBatcher` into the backend
 :class:`~repro.backend.ingest.IngestionServer` (including a simulated
-retry storm the deduplicator must absorb), then checks that the
-backend's *streaming* aggregates agree with the batch analysis over
-the same records — and finally replays the same records over a *lossy*
-chaos transport (drops, duplicates, corruption) and reconciles both
-ends.
+retry storm the deduplicator must absorb), then checks that the live
+query answer over what the backend accepted is exactly the offline
+analysis of the same records — and finally replays the same records
+over a *lossy* chaos transport (drops, duplicates, corruption) and
+reconciles both ends.
 
 Usage::
 
@@ -19,11 +19,14 @@ import sys
 import time
 
 from repro import ChaosConfig, ScenarioConfig, run_telemetry_pipeline
-from repro.analysis.stats import compute_general_stats
+from repro.analysis.columnar import compute_analysis_block
 from repro.backend.ingest import IngestionServer
+from repro.dataset.store import Dataset
 from repro.fleet.simulator import FleetSimulator
 from repro.monitoring.uploader import UploadBatcher
 from repro.network.topology import TopologyConfig
+from repro.obs import SUM_SCALE
+from repro.serve.query import STATS_FIELDS, QueryEngine
 
 
 def main() -> None:
@@ -57,18 +60,20 @@ def main() -> None:
           f"({server.bytes_received / 1e6:.1f} MB received)")
     assert server.accepted == dataset.n_failures
 
-    batch = compute_general_stats(dataset)
-    print("\nstreaming vs batch analysis:")
-    print(f"  median duration: {server.duration_median.value():6.1f} s "
-          f"(batch {batch.median_duration_s:.1f} s)")
-    for failure_type, stream in sorted(server.duration_stats.items()):
-        print(f"  {failure_type:<18} mean {stream.mean:8.1f} s over "
-              f"{stream.count} records")
-    share = server.duration_share()
-    print(f"  Data_Stall duration share: "
-          f"{share.get('DATA_STALL', 0):.1%} "
-          f"(batch "
-          f"{batch.duration_share_by_type.get('DATA_STALL', 0):.1%})")
+    stats = QueryEngine(server).answer("stats")["result"]
+    print(f"\nlive stats answer: {stats['n_failures']} failures on "
+          f"{stats['failing_devices']} failing devices")
+    by_type = stats["duration_hist_by_type"]
+    total = sum(hist["sum_scaled"] for hist in by_type.values())
+    for failure_type, hist in sorted(by_type.items()):
+        mean = hist["sum_scaled"] / SUM_SCALE / hist["count"]
+        print(f"  {failure_type:<18} {hist['count']:>6} records, "
+              f"mean {mean:7.1f} s, "
+              f"{hist['sum_scaled'] / total:6.1%} of failure time")
+    offline = compute_analysis_block(Dataset(failures=dataset.failures))
+    assert stats == {key: offline[key] for key in STATS_FIELDS}
+    print("  identical to the offline analysis block over the same "
+          "records")
 
     chaos = ChaosConfig(seed=13, drop_rate=0.25, duplicate_rate=0.15,
                         reorder_rate=0.05, corrupt_rate=0.02)

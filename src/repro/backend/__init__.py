@@ -1,9 +1,6 @@
-"""Backend substrate: the centralized side of the study — ingestion of
-the devices' compressed uploads and streaming aggregation over record
-streams too large to hold in memory."""
+"""Backend substrate: the centralized side of the study — ingestion and
+deduplication of the devices' compressed uploads."""
 
 from repro.backend.ingest import IngestionServer, ServiceUnavailable
-from repro.backend.streaming import P2Quantile, StreamingStats
 
-__all__ = ["IngestionServer", "P2Quantile", "ServiceUnavailable",
-           "StreamingStats"]
+__all__ = ["IngestionServer", "ServiceUnavailable"]

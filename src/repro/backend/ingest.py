@@ -3,9 +3,11 @@
 Devices ship zlib-compressed JSON records through
 :class:`repro.monitoring.uploader.UploadBatcher`; this server is the
 receiving end: decompress, parse, validate, deduplicate (uploads may be
-retried after connectivity loss), and keep streaming aggregates per
-failure type — the "compressed and uploaded to our backend server for
-centralized analysis" sentence of Sec. 2.3, made concrete.
+retried after connectivity loss), and count what it did — the
+"compressed and uploaded to our backend server for centralized
+analysis" sentence of Sec. 2.3, made concrete.  The analysis itself is
+the query plane's (:mod:`repro.serve.query`), folded exactly from the
+records the server keeps.
 
 Hardening for lossy transports (see :mod:`repro.chaos`):
 
@@ -16,18 +18,16 @@ Hardening for lossy transports (see :mod:`repro.chaos`):
   down, :meth:`IngestionServer.receive` raises
   :class:`ServiceUnavailable` and the device spooler keeps the payload;
 * :meth:`IngestionServer.checkpoint` / :meth:`IngestionServer.restore`
-  snapshot the full dedup + aggregate state, so a "crashed" server can
+  snapshot the dedup state and the counters, so a "crashed" server can
   resume and absorb the ensuing retry storm without double-counting.
 
 With a :class:`repro.store.SegmentStore` attached
-(:meth:`IngestionServer.attach_store`), accepted records go to the
-durable store *before* they enter the dedup set — a crash between the
-two re-runs an idempotent append, never drops an acked record — and
-checkpoints shrink to the dedup keys the store does not already prove
-(``seen`` minus ``store.known_keys()``) plus the store description.
-After a scrub reports unrecoverable identities,
-:meth:`IngestionServer.forget_keys` drops them from the dedup set so
-devices can re-upload exactly those records.
+(:meth:`IngestionServer.attach_store`) the store is the one owner of
+record identity: a record is a duplicate when the store owns its key
+(``key in store``), and accepted records go to its WAL only.  The
+server's own dedup set keeps just the residue no store proves (keys a
+restored checkpoint carried), and a key a scrub loses leaves the store,
+so its re-upload is accepted as new.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 
-from repro.backend.streaming import P2Quantile, StreamingStats
 from repro.dataset.records import FailureRecord, record_identity
 from repro.obs import get_registry
 
@@ -55,14 +55,14 @@ class ServiceUnavailable(RuntimeError):
 
 @dataclass
 class IngestionServer:
-    """Receives, validates, and aggregates device uploads."""
+    """Receives, validates, deduplicates and counts device uploads."""
 
     #: In-memory records (legacy mode).  With a segment store attached
     #: this stays empty — the store owns the records.
     records: list[FailureRecord] = field(default_factory=list)
     #: Optional durable :class:`repro.store.SegmentStore`; attach with
-    #: :meth:`attach_store`, never by assignment (the dedup set must
-    #: absorb the store's known keys at the same moment).
+    #: :meth:`attach_store`, never by assignment (the in-memory records
+    #: and the dedup set must hand over to it at the same moment).
     store: object | None = field(default=None, repr=False)
     accepted: int = 0
     duplicates: int = 0
@@ -77,14 +77,9 @@ class IngestionServer:
     #: Retained malformed payloads, oldest first, capped at
     #: :data:`QUARANTINE_CAPACITY` entries.
     quarantine: list[dict] = field(default_factory=list, repr=False)
-    #: Per-failure-type duration statistics, streaming.
-    duration_stats: dict[str, StreamingStats] = field(
-        default_factory=dict
-    )
-    #: Streaming median of all failure durations.
-    duration_median: P2Quantile = field(
-        default_factory=lambda: P2Quantile(0.5)
-    )
+    #: Accepted identities no store proves: every accepted key in
+    #: memory mode; with a store attached, only keys a restore carried
+    #: over that the store does not own.
     _seen: set[str] = field(default_factory=set, repr=False)
 
     # -- the transport callable given to UploadBatcher -----------------------
@@ -134,7 +129,8 @@ class IngestionServer:
         ):
             return "missing-fields", None, data
         key = self._identity(data)
-        if key in self._seen or key in batch_keys:
+        if (key in batch_keys or key in self._seen
+                or (self.store is not None and key in self.store)):
             return "duplicate", key, data
         try:
             record = FailureRecord.from_dict(data)
@@ -147,31 +143,23 @@ class IngestionServer:
         """Commit the accepted records, then account every verdict."""
         accepted = [(key, record) for reason, key, record in verdicts
                     if reason is None]
-        # With a store attached, durability comes first: the append
-        # (WAL fsync) must succeed before a key enters the dedup set,
-        # or a crash between the two would ack-then-drop.  The append
-        # is idempotent, so the retry after a mid-append crash is safe
-        # even when the WAL lines did land.
+        # Only accepted keys are recorded — a malformed-but-complete
+        # record must not poison the dedup set, or a corrected retry
+        # would be miscounted as a duplicate.  With a store attached,
+        # the WAL fsync is what records them: a fault before it leaves
+        # nothing owned, and a retry after a fault past it finds the
+        # keys in the store.
         if self.store is not None:
             self.store.append_many([(record.to_dict(), key)
                                     for key, record in accepted])
         else:
             self.records.extend(record for _key, record in accepted)
+            self._seen.update(key for key, _record in accepted)
         registry = get_registry()
-        for reason, key, subject in verdicts:
+        for reason, _key, subject in verdicts:
             if reason is None:
-                # The dedup key is recorded only after a successful
-                # parse: a malformed-but-complete record must not
-                # poison the dedup set, or a corrected retry would be
-                # miscounted as a duplicate.
-                self._seen.add(key)
                 self.accepted += 1
                 registry.inc("ingest_accepted_total")
-                stats = self.duration_stats.setdefault(
-                    subject.failure_type, StreamingStats()
-                )
-                stats.add(subject.duration_s)
-                self.duration_median.add(subject.duration_s)
             elif reason == "duplicate":
                 self.duplicates += 1
                 registry.inc("ingest_duplicates_total")
@@ -183,24 +171,27 @@ class IngestionServer:
     # -- durable store --------------------------------------------------------
 
     def attach_store(self, store) -> None:
-        """Make a :class:`~repro.store.SegmentStore` the record home.
+        """Make a :class:`~repro.store.SegmentStore` the record home
+        and the dedup authority.
 
-        The store's known identities join the dedup set (replays of
-        store-owned records dedup cleanly), and any in-memory records
-        migrate into the store so there is exactly one owner.
+        Any in-memory records migrate into the store so there is
+        exactly one owner, and the dedup set sheds every identity the
+        store owns: from here on it holds only what no store proves.
         """
         self.store = store
         store.append_many([(record.to_dict(), None)
                            for record in self.records])
         self.records = []
-        self._seen |= store.known_keys()
+        self._seen = {key for key in self._seen if key not in store}
 
     def forget_keys(self, keys) -> int:
-        """Drop identities from the dedup set (scrub ``lost_keys``).
+        """Drop identities from the dedup set.
 
         Returns how many were actually forgotten.  Devices retrying
         these records are accepted as new instead of miscounted as
-        duplicates — the re-upload invitation after data loss.
+        duplicates — the re-upload invitation after data loss.  A key
+        a store scrub reports lost has already left the store, so with
+        a store attached this only reaches the residue no store proves.
         """
         dropped = self._seen & set(keys)
         self._seen -= dropped
@@ -224,15 +215,12 @@ class IngestionServer:
         """JSON-able snapshot of every ingest state that matters.
 
         The quarantine is diagnostic and deliberately not part of the
-        snapshot; everything dedup or aggregation depends on is.  With
-        a store attached the snapshot shrinks to the dedup keys the
-        store cannot prove (its own keys are re-derived from the
-        journal on restore) plus the store description — the
-        checkpoint no longer grows with the record count.
+        snapshot; everything dedup or the counters depend on is.  With
+        a store attached the dedup keys are only those the store
+        cannot prove (its own are re-derived from the journal on
+        restore) plus the store description — the checkpoint does not
+        grow with the record count.
         """
-        seen = self._seen
-        if self.store is not None:
-            seen = seen - self.store.known_keys()
         snapshot = {
             "records": [record.to_dict() for record in self.records],
             "accepted": self.accepted,
@@ -242,12 +230,7 @@ class IngestionServer:
             "quarantine_evicted": self.quarantine_evicted,
             "bytes_received": self.bytes_received,
             "available": self.available,
-            "seen": sorted(seen),
-            "duration_stats": {
-                failure_type: stats.to_dict()
-                for failure_type, stats in self.duration_stats.items()
-            },
-            "duration_median": self.duration_median.to_dict(),
+            "seen": sorted(self._seen),
         }
         if self.store is not None:
             snapshot["store"] = self.store.describe()
@@ -263,9 +246,11 @@ class IngestionServer:
         everything — replays of pre-snapshot records dedup cleanly.
 
         When the snapshot carries a store description (or ``store`` is
-        passed), the segment store is reattached: its journal-proven
-        identities rejoin the dedup set, so a WAL-fsynced record is
-        never double-counted after a SIGKILL.
+        passed), the segment store is reattached: it proves its
+        journal's identities itself, so a WAL-fsynced record is never
+        double-counted after a SIGKILL.  Snapshots written before the
+        duration aggregates were dropped restore too; their
+        ``duration_stats`` / ``duration_median`` fields are ignored.
         """
         server = cls(
             records=[
@@ -281,14 +266,6 @@ class IngestionServer:
             ),
             bytes_received=int(snapshot["bytes_received"]),
             available=bool(snapshot.get("available", True)),
-            duration_stats={
-                failure_type: StreamingStats.from_dict(data)
-                for failure_type, data
-                in snapshot["duration_stats"].items()
-            },
-            duration_median=P2Quantile.from_dict(
-                snapshot["duration_median"]
-            ),
         )
         server._seen = set(snapshot["seen"])
         if store is None and "store" in snapshot:
@@ -302,18 +279,11 @@ class IngestionServer:
 
     @property
     def accepted_keys(self) -> frozenset[str]:
-        """Identities of every accepted record (for reconciliation)."""
-        return frozenset(self._seen)
-
-    def duration_share(self) -> dict[str, float]:
-        """Per-type share of total failure duration (streaming)."""
-        total = sum(s.total for s in self.duration_stats.values())
-        if total == 0:
-            return {}
-        return {
-            failure_type: stats.total / total
-            for failure_type, stats in self.duration_stats.items()
-        }
+        """Identities of every accepted record (for reconciliation):
+        the store's and those no store proves.  Built anew on every
+        access, so read it once per use."""
+        owned = self.store if self.store is not None else ()
+        return frozenset(chain(self._seen, owned))
 
     def summary(self) -> dict[str, float]:
         return {

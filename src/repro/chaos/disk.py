@@ -31,6 +31,7 @@ can demand afterwards that ``repro scrub`` explained all of them.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -62,6 +63,19 @@ class DiskIO:
     def write_atomic(self, path: str | Path, data: bytes) -> None:
         """Write ``data`` so readers see the old file or the new one."""
         path = Path(path)
+        tmp_name = self._write_temp(path, data)
+        try:
+            os.replace(tmp_name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+
+    @staticmethod
+    def _write_temp(path: Path, data: bytes) -> str:
+        """Write ``data`` to a new fsynced temp file beside ``path``
+        and return its name: :meth:`write_atomic` before the rename.
+        A write that fails leaves no temp file behind."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                         prefix=path.name + ".tmp")
@@ -70,13 +84,11 @@ class DiskIO:
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp_name)
-            except OSError:
-                pass
             raise
+        return tmp_name
 
     def append_line(self, path: str | Path, line: bytes) -> None:
         """Append one journal line (newline added) and fsync.
@@ -255,14 +267,8 @@ class DiskChaos(DiskIO):
         if fault == "crash-rename":
             # Fully write and fsync the temp file, then "die" before
             # the rename: the orphan temp is what a real crash leaves.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=path.name + ".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._record("crash-rename", path, temp=str(tmp_name))
+            tmp_name = self._write_temp(path, data)
+            self._record("crash-rename", path, temp=tmp_name)
             raise SimulatedCrash(f"crashed before renaming {tmp_name} "
                                  f"to {path}")
         if fault == "torn-write" and len(data) > 1:

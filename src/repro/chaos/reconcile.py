@@ -292,7 +292,7 @@ def reconcile(emitted_keys, server, batchers,
     payloads.
     """
     emitted = set(emitted_keys)
-    accepted = set(server.accepted_keys)
+    accepted = server.accepted_keys
 
     shed_keys: set[str] = set()
     budget_keys: set[str] = set()

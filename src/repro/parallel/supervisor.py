@@ -177,9 +177,14 @@ def validate_shard_result(spec: ShardSpec, result) -> None:
         )
 
 
-def _supervised_worker(conn, config, spec: ShardSpec, attempt: int,
-                       chaos_config) -> None:
+def _supervised_worker(reader, conn, config, spec: ShardSpec,
+                       attempt: int, chaos_config) -> None:
     """Worker process entry (module-level: ``spawn``-picklable).
+
+    ``reader``, the parent's end of this worker's result pipe, is
+    closed first thing: while the child holds it (``fork`` inherits
+    it), a SIGKILLed parent leaves ``conn.send`` blocked on a full
+    pipe forever instead of failing with EPIPE.
 
     Chaos faults fire *outside* the simulation try block on purpose:
     they model infrastructure failures, which must reach the parent as
@@ -187,6 +192,7 @@ def _supervised_worker(conn, config, spec: ShardSpec, attempt: int,
     simulation-failure message, which is reserved for real bugs inside
     ``simulate_shard``.
     """
+    reader.close()
     from repro.parallel.engine import simulate_shard
     from repro.parallel.worker_chaos import WorkerChaos
 
@@ -271,7 +277,7 @@ class ShardSupervisor:
         recv_conn, send_conn = self.context.Pipe(duplex=False)
         process = self.context.Process(
             target=_supervised_worker,
-            args=(send_conn, self.config, spec, attempt,
+            args=(recv_conn, send_conn, self.config, spec, attempt,
                   self.worker_chaos),
             daemon=True,
         )

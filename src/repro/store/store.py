@@ -28,8 +28,8 @@
   removes leftover temp files, truncates a torn journal tail, and
   recovers quarantined records from their WAL lines back into the
   unsealed tail.  Every finding is classified; record identities that
-  no channel can recover are reported as ``lost_keys`` so the ingest
-  dedup layer can invite re-uploads.
+  no channel can recover are reported as ``lost_keys`` and leave the
+  store's identity set, so a device's re-upload is accepted as new.
 
 The store is single-writer (the serve ingest worker); scrubbing a
 store that another *process* is actively writing is not supported.
@@ -267,8 +267,8 @@ class ScrubReport:
     journal_truncated_bytes: int = 0
     #: Record identities recovered from WAL lines back into the tail.
     recovered_keys: tuple[str, ...] = ()
-    #: Record identities no channel could recover — the dedup layer
-    #: must forget these so devices can re-upload them.
+    #: Record identities no channel could recover.  With ``repair``
+    #: they leave the store, so devices' re-uploads are accepted.
     lost_keys: tuple[str, ...] = ()
 
     @property
@@ -429,9 +429,15 @@ class SegmentStore:
     def n_tail_records(self) -> int:
         return sum(len(tail) for tail in self._tails.values())
 
-    def known_keys(self) -> set[str]:
-        """Every record identity the store currently owns."""
-        return set(self._known)
+    def __contains__(self, key: str) -> bool:
+        """Whether the store owns record identity ``key`` — the ingest
+        server's dedup check: one set lookup, nothing copied."""
+        return key in self._known
+
+    def __iter__(self):
+        """Every record identity the store currently owns (not safe
+        against a concurrent append: iterate a quiescent store)."""
+        return iter(self._known)
 
     def tail_rows(self) -> list[dict]:
         """Unsealed records, partition-major, append order within."""

@@ -1,105 +1,21 @@
-"""Tests for the backend: streaming aggregation and upload ingestion."""
+"""Tests for the backend: upload ingestion, dedup and its checkpoint."""
 
 import json
 import random
 import zlib
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.analysis.columnar import compute_analysis_block
 from repro.backend.ingest import (
     QUARANTINE_CAPACITY,
     IngestionServer,
     ServiceUnavailable,
 )
-from repro.backend.streaming import P2Quantile, StreamingStats
+from repro.dataset.store import Dataset
 from repro.monitoring.uploader import UploadBatcher
-
-
-class TestStreamingStats:
-    def test_matches_numpy(self):
-        values = np.random.RandomState(0).lognormal(2.0, 1.0, 2_000)
-        stats = StreamingStats()
-        stats.extend(values)
-        assert stats.count == 2_000
-        assert stats.mean == pytest.approx(values.mean())
-        assert stats.variance == pytest.approx(values.var(), rel=1e-9)
-        assert stats.minimum == values.min()
-        assert stats.maximum == values.max()
-        assert stats.total == pytest.approx(values.sum())
-
-    def test_small_counts(self):
-        stats = StreamingStats()
-        assert stats.variance == 0.0
-        stats.add(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-
-    @settings(max_examples=50)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=1, max_size=200),
-           st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=1, max_size=200))
-    def test_merge_equals_single_pass(self, left, right):
-        a = StreamingStats()
-        a.extend(left)
-        b = StreamingStats()
-        b.extend(right)
-        merged = a.merge(b)
-        combined = StreamingStats()
-        combined.extend(left + right)
-        assert merged.count == combined.count
-        assert merged.mean == pytest.approx(combined.mean, rel=1e-6,
-                                            abs=1e-6)
-        assert merged.variance == pytest.approx(combined.variance,
-                                                rel=1e-6, abs=1e-3)
-
-    def test_merge_with_empty(self):
-        a = StreamingStats()
-        a.extend([1.0, 2.0])
-        assert a.merge(StreamingStats()).mean == a.mean
-        assert StreamingStats().merge(a).count == 2
-
-
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).value()
-
-    def test_exact_for_tiny_streams(self):
-        sketch = P2Quantile(0.5)
-        for value in (5.0, 1.0, 3.0):
-            sketch.add(value)
-        assert sketch.value() == 3.0
-
-    @pytest.mark.parametrize("quantile", [0.1, 0.5, 0.9])
-    def test_approximates_numpy_on_lognormal(self, quantile):
-        rng = np.random.RandomState(1)
-        values = rng.lognormal(1.0, 0.8, 20_000)
-        sketch = P2Quantile(quantile)
-        for value in values:
-            sketch.add(float(value))
-        exact = float(np.quantile(values, quantile))
-        assert sketch.value() == pytest.approx(exact, rel=0.08)
-
-    def test_approximates_uniform_median(self):
-        rng = random.Random(2)
-        sketch = P2Quantile(0.5)
-        for _ in range(10_000):
-            sketch.add(rng.uniform(0.0, 100.0))
-        assert sketch.value() == pytest.approx(50.0, abs=3.0)
-
-    @settings(max_examples=30)
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6),
-                    min_size=1, max_size=500))
-    def test_estimate_within_observed_range(self, values):
-        sketch = P2Quantile(0.75)
-        for value in values:
-            sketch.add(value)
-        assert min(values) <= sketch.value() <= max(values)
+from repro.obs import SUM_SCALE
+from repro.serve.query import STATS_FIELDS, QueryEngine
 
 
 def record_dict(device_id=1, duration=30.0, failure_type="DATA_STALL",
@@ -142,6 +58,8 @@ class TestIngestionServer:
         assert server.accepted == 0
 
     def test_streaming_aggregates_match(self):
+        """The server keeps no aggregates of its own: the live answer
+        over what it accepted is the offline block, exactly."""
         server = IngestionServer()
         durations = [10.0, 20.0, 30.0, 40.0]
         for index, duration in enumerate(durations):
@@ -149,10 +67,12 @@ class TestIngestionServer:
                 record_dict(device_id=index, duration=duration,
                             start=100.0 + index)
             ))
-        stats = server.duration_stats["DATA_STALL"]
-        assert stats.count == 4
-        assert stats.mean == pytest.approx(25.0)
-        assert server.duration_share() == {"DATA_STALL": 1.0}
+        stats = QueryEngine(server).answer("stats")["result"]
+        hist = stats["duration_hist_by_type"]["DATA_STALL"]
+        assert hist["count"] == 4
+        assert hist["sum_scaled"] == 100 * SUM_SCALE
+        offline = compute_analysis_block(Dataset(failures=server.records))
+        assert stats == {key: offline[key] for key in STATS_FIELDS}
 
     def test_duration_share_across_types(self):
         server = IngestionServer()
@@ -161,8 +81,10 @@ class TestIngestionServer:
             device_id=2, duration=10.0,
             failure_type="DATA_SETUP_ERROR",
         ))
-        share = server.duration_share()
-        assert share["DATA_STALL"] == pytest.approx(0.9)
+        by_type = QueryEngine(server).answer("stats")["result"][
+            "duration_hist_by_type"]
+        total = sum(hist["sum_scaled"] for hist in by_type.values())
+        assert by_type["DATA_STALL"]["sum_scaled"] / total == 0.9
 
     def test_end_to_end_with_upload_batcher(self):
         """Device-side batching feeds the backend transport directly."""
@@ -206,16 +128,22 @@ class TestIngestionServer:
         quarantine or duplicate being counted twice."""
 
         class FlakyStore:
-            def __init__(self):
-                self.fail, self.rows = False, []
+            """What the server asks of a store: membership, its
+            identities, and a group commit — this one can fault."""
 
-            def known_keys(self):
-                return set()
+            def __init__(self):
+                self.fail, self.rows = False, {}
+
+            def __contains__(self, key):
+                return key in self.rows
+
+            def __iter__(self):
+                return iter(self.rows)
 
             def append_many(self, items):
                 if self.fail:
                     raise OSError("disk on fire")
-                self.rows.extend(items)
+                self.rows.update((key, data) for data, key in items)
 
         store = FlakyStore()
         server = IngestionServer()
@@ -318,15 +246,13 @@ class TestIngestionServer:
             restored.receive(self.compress(data))
         assert restored.accepted == 10
         assert restored.duplicates == 6
-        stats = restored.duration_stats["DATA_STALL"]
-        assert stats.count == 10
-        assert stats.mean == pytest.approx(30.0)
-        assert restored.duration_median.count == 10
+        assert ([r.to_dict() for r in restored.records]
+                == [r.to_dict() for r in server.records])
 
     def test_checkpoint_restore_round_trip_is_exact(self):
         """Restore is lossless for everything the snapshot carries:
-        aggregates, the P² median state, the dedup set, availability,
-        and the eviction counter — checked field for field."""
+        the records, the dedup set, the counters, availability and the
+        eviction counter — checked field for field."""
         rng = random.Random(41)
         originals = [
             record_dict(
@@ -353,15 +279,6 @@ class TestIngestionServer:
         assert restored.accepted_keys == server.accepted_keys
         assert restored.summary() == server.summary()
         assert restored.quarantine_evicted == 3
-        assert set(restored.duration_stats) == set(server.duration_stats)
-        for failure_type, stats in server.duration_stats.items():
-            mirror = restored.duration_stats[failure_type]
-            assert mirror.to_dict() == stats.to_dict()
-        assert (restored.duration_median.to_dict()
-                == server.duration_median.to_dict())
-        assert restored.duration_median.value() == pytest.approx(
-            server.duration_median.value()
-        )
         assert ([r.to_dict() for r in restored.records]
                 == [r.to_dict() for r in server.records])
         # And the restored server *behaves* identically: still down,

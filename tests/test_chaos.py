@@ -22,6 +22,7 @@ from repro.fleet.scenario import ScenarioConfig
 from repro.fleet.simulator import FleetSimulator
 from repro.monitoring.uploader import UploadBatcher
 from repro.network.topology import TopologyConfig
+from repro.serve.query import QueryEngine
 
 
 def make_record(device_id=1, start=100.0, duration=30.0) -> FailureRecord:
@@ -288,9 +289,8 @@ class TestTelemetryPipeline:
         server = result.server
         assert server.duplicates > 0
         assert server.accepted == result.report.emitted
-        assert sum(stats.count
-                   for stats in server.duration_stats.values()
-                   ) == server.accepted
+        assert (QueryEngine(server).fold().block["n_failures"]
+                == server.accepted)
 
     def test_pipeline_is_deterministic(self):
         dataset = make_dataset(n_devices=8, per_device=5)

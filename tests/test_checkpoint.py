@@ -7,6 +7,7 @@ uninterrupted run; damaged artifacts are quarantined and re-run, and a
 store from a different scenario is refused outright.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -274,6 +275,21 @@ class TestEngineCheckpointing:
         assert (tmp_path / "manifest.json").exists()
 
 
+def session_survivors(session: int) -> list[int]:
+    """Live (not zombie) processes of ``session``, read from /proc."""
+    survivors = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # not a process, or it just exited
+            continue
+        # After the parenthesised command: state, ppid, pgrp, session.
+        state, _ppid, _pgrp, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state != "Z":
+            survivors.append(int(entry.name))
+    return survivors
+
+
 class TestKillAndResume:
     """The acceptance criterion: SIGKILL a checkpointed run mid-flight,
     resume it, and get the byte-identical dataset of a fresh run."""
@@ -290,9 +306,12 @@ class TestKillAndResume:
         ]
         env = dict(os.environ, PYTHONPATH="src")
 
+        # Its own session, so every worker it forks can be found (and
+        # cleaned up) by session id after the parent is gone.
         victim = subprocess.Popen(
             base_cmd, env=env, cwd=Path(__file__).resolve().parents[1],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         # Kill as soon as the manifest records a completed shard.
         manifest_path = checkpoint_dir / "manifest.json"
@@ -303,16 +322,27 @@ class TestKillAndResume:
             except (OSError, ValueError, KeyError):
                 return {}
 
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if completed_shards():
-                break
-            if victim.poll() is not None:
-                break
-            time.sleep(0.02)
-        if victim.poll() is None:
-            victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=60)
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                if completed_shards():
+                    break
+                if victim.poll() is not None:
+                    break
+                time.sleep(0.02)
+            if victim.poll() is None:
+                victim.send_signal(signal.SIGKILL)
+            victim.wait(timeout=60)
+            # Orphaned shard workers must notice the dead parent (EPIPE
+            # on their result pipe) and exit instead of blocking.
+            deadline = time.monotonic() + 20
+            while session_survivors(victim.pid) and (
+                    time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert session_survivors(victim.pid) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(victim.pid, signal.SIGKILL)
 
         manifest = json.loads(
             (checkpoint_dir / "manifest.json").read_text()

@@ -234,7 +234,7 @@ class TestScrubUnderChaos:
         for r in records:
             reloaded.append(r)
         reloaded.flush()
-        assert len(reloaded.known_keys()) == len(records)
+        assert len(set(reloaded)) == len(records)
         query = reloaded.fold_analysis()
         assert query.complete
         assert query.block["n_failures"] == len(records)
@@ -271,7 +271,7 @@ class TestBatchJournalFaults:
         chaos.force_next("journal-torn")
         with pytest.raises(SimulatedCrash):
             store.append_many(batch)
-        assert store.known_keys() == set()
+        assert set(store) == set()
         assert store.n_tail_records == 0
         (fault,) = chaos.injected
         assert fault["fault"] == "journal-torn"
@@ -285,7 +285,7 @@ class TestBatchJournalFaults:
         # A crash-restart right there recovers exactly the records
         # whose lines landed whole, and scrub explains the fault.
         crashed = _store(tmp_path)
-        assert crashed.known_keys() == set(
+        assert set(crashed) == set(
             keys[:fault["records_landed"]]
         )
         report = crashed.scrub(repair=False)
@@ -298,7 +298,7 @@ class TestBatchJournalFaults:
         assert store.append_many(batch) == keys
         assert store.n_tail_records == len(batch)
         reopened = _store(tmp_path)
-        assert reopened.known_keys() == set(keys)
+        assert set(reopened) == set(keys)
         assert reopened.n_tail_records == len(batch)
         disk = reconcile_disk(chaos.injected, reopened.scrub())
         assert disk.ok, disk.render()
@@ -315,9 +315,9 @@ class TestBatchJournalFaults:
         assert 0 <= fault["line"] < len(batch)
         # In memory the store owns all of them; on disk one line is
         # damaged, so a restart proves one record fewer.
-        assert store.known_keys() == set(keys)
+        assert set(store) == set(keys)
         reopened = _store(tmp_path)
-        assert reopened.known_keys() == set(keys) - {keys[fault["line"]]}
+        assert set(reopened) == set(keys) - {keys[fault["line"]]}
         report = reopened.scrub()
         assert report.journal_damaged_lines == 1
         disk = reconcile_disk(chaos.injected, report)
@@ -325,7 +325,7 @@ class TestBatchJournalFaults:
         assert disk.by_class == {"journal-damage-detected": 1}
         # The re-upload invitation: the lost line's record comes back.
         reopened.append_many(batch)
-        assert reopened.known_keys() == set(keys)
+        assert set(reopened) == set(keys)
 
     def test_batched_soak_never_loses_acked_records(self, tmp_path):
         """The uniform-rate soak of the single-append path, driven in

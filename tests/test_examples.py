@@ -50,7 +50,7 @@ def test_rat_policy_playground():
 def test_backend_pipeline():
     output = run_example("backend_pipeline.py", "120")
     assert "accepted=" in output
-    assert "streaming vs batch" in output
+    assert "identical to the offline analysis block" in output
     assert "lossy transport" in output
     assert "UNEXPLAINED" in output
 

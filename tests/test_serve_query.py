@@ -107,7 +107,7 @@ def assert_exact(engine, store):
     offline = compute_analysis_block(store.dataset())
     assert canonical(fold.block) == canonical(offline)
     assert canonical(store.fold_analysis().block) == canonical(offline)
-    assert fold.watermark["n_records"] == len(store.known_keys())
+    assert fold.watermark["n_records"] == len(set(store))
     assert not fold.skipped
     return fold
 
@@ -370,7 +370,7 @@ class TestCarriedFold:
         assert store.n_segments > 1 and store.n_tail_records > 0
         engine = QueryEngine(FakeServer(store))
         first = engine.fold()
-        assert first.rows_folded == len(store.known_keys())
+        assert first.rows_folded == len(set(store))
         again = engine.fold()
         assert again.rows_folded == 0
         assert again.cache_misses == 0  # no segment decoded

@@ -784,7 +784,7 @@ class TestGroupCommit:
         resumed = IngestService.resume(path, config=config).start()
         try:
             assert wait_until(lambda: resumed.server.accepted == 5)
-            assert resumed.server.store.known_keys() == set(keys)
+            assert set(resumed.server.store) == set(keys)
         finally:
             resumed.stop()
 

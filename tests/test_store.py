@@ -97,7 +97,7 @@ class TestSegmentStore:
         for r in records:
             store.append(r)
             store.append(r)  # retry after an ambiguous fault
-        assert len(store.known_keys()) == len(records)
+        assert len(set(store)) == len(records)
         assert store.fold_analysis().block == _direct_block(records)
 
     def test_restart_restores_tail_from_wal(self, tmp_path):
@@ -108,7 +108,7 @@ class TestSegmentStore:
         assert store.n_segments == 0
         reloaded = _store(tmp_path)
         assert reloaded.n_tail_records == 7
-        assert reloaded.known_keys() == store.known_keys()
+        assert set(reloaded) == set(store)
         assert reloaded.fold_analysis().block == _direct_block(records[:7])
 
     def test_scrub_clean_store_reports_clean(self, tmp_path):
@@ -159,7 +159,7 @@ class TestSegmentStore:
         io.store = store
         query = store.fold_analysis()
         assert io.store is None  # the mid-fold appends did run
-        assert len(store.known_keys()) == len(records)
+        assert len(set(store)) == len(records)
         assert query.complete
         assert (json.dumps(query.block, sort_keys=True)
                 == json.dumps(_direct_block(held), sort_keys=True))
@@ -357,25 +357,103 @@ class TestIngestionServerStore:
         store = _store(tmp_path)
         server.attach_store(store)
         assert server.records == []
-        assert len(store.known_keys()) == 5
+        assert len(set(store)) == 5
         for r in records[:5]:
             server.ingest_record(dict(r))
         assert server.duplicates == 5
 
     def test_forget_keys_invites_reupload(self, tmp_path):
+        """A key scrub loses leaves the store with its record, so the
+        re-upload is accepted without forgetting anything; forget_keys
+        reaches only the residue a restored checkpoint can carry."""
         records = _records()
-        store = _store(tmp_path)
+        store = _store(tmp_path, wal=False)  # no WAL: damage is loss
         server = IngestionServer()
         server.attach_store(store)
         for r in records:
             server.ingest_record(dict(r))
-        lost = record_identity(records[0])
-        assert server.forget_keys([lost]) == 1
-        before = server.accepted
-        server.ingest_record(dict(records[0]))
-        # The store still owns the record, so the re-upload is a
-        # durable no-op, but the ingest layer accepts it again.
-        assert server.accepted == before + 1
+        store.flush()
+        victim = sorted(store.segments_dir.glob("*.seg"))[0]
+        lost = set(store._live[victim.name]["keys"])
+        victim.write_bytes(victim.read_bytes()[:-9])
+        assert set(store.scrub(repair=True).lost_keys) == lost
+        assert server.forget_keys(lost) == 0
+        for r in records:
+            server.ingest_record(dict(r))
+        assert server.accepted == len(records) + len(lost)
+        assert set(store) == {record_identity(r) for r in records}
+
+        stray = dict(records[0], start_time=1e7)
+        snapshot = dict(server.checkpoint(),
+                        seen=[record_identity(stray)])
+        revived = IngestionServer.restore(snapshot, store=store)
+        revived.ingest_record(dict(stray))
+        assert (revived.accepted, revived.duplicates) == (
+            server.accepted, server.duplicates + 1)
+        assert revived.forget_keys([record_identity(stray)]) == 1
+        revived.ingest_record(dict(stray))
+        assert revived.accepted == server.accepted + 1
+
+    def test_one_owner_across_attach_ingest_and_restore(self, tmp_path):
+        """The store is the dedup authority: after attach, ingest and
+        checkpoint -> restore the server holds no identity the store
+        owns, and the store alone turns every replay into a
+        duplicate."""
+        records = _records()
+        server = IngestionServer()
+        for r in records[:5]:  # memory mode first, then migrate
+            server.ingest_record(dict(r))
+        store = _store(tmp_path)
+        server.attach_store(store)
+        for r in records:
+            server.ingest_record(dict(r))
+        keys = {record_identity(r) for r in records}
+        assert server._seen == set()
+        assert set(store) == keys == server.accepted_keys
+        snapshot = json.loads(json.dumps(server.checkpoint()))
+        assert snapshot["seen"] == []
+        revived = IngestionServer.restore(snapshot)
+        assert revived._seen == set()
+        for r in records:
+            revived.ingest_record(dict(r))
+        assert revived.duplicates == server.duplicates + len(records)
+        assert set(revived.store) == keys == revived.accepted_keys
+
+    def test_checkpoint_with_duration_aggregates_still_restores(
+        self, tmp_path
+    ):
+        """A drain checkpoint written when the server kept duration
+        aggregates, and copied store-owned keys into ``seen``, restores:
+        the aggregates are ignored and the keys the store owns leave
+        the dedup set, the rest stay as the residue."""
+        records = _records()
+        store = _store(tmp_path)
+        store.append_many([(dict(r), None) for r in records])
+        keys = sorted(record_identity(r) for r in records)
+        stray = "f" * 64
+        snapshot = {
+            "records": [], "accepted": len(records), "duplicates": 2,
+            "malformed": 0, "quarantined": 0, "quarantine_evicted": 0,
+            "bytes_received": 9_000, "available": True,
+            "seen": keys + [stray],
+            "duration_stats": {"Data_Stall": {
+                "count": 24, "mean": 60.5, "m2": 1.0e4,
+                "minimum": 1.0, "maximum": 120.0}},
+            "duration_median": {
+                "quantile": 0.5, "count": 72, "initial": [],
+                "heights": [1.0, 30.0, 60.0, 90.0, 120.0],
+                "positions": [1.0, 18.0, 36.0, 54.0, 72.0],
+                "desired": [1.0, 18.75, 36.5, 54.25, 72.0],
+                "increments": [0.0, 0.25, 0.5, 0.75, 1.0]},
+            "store": store.describe(),
+        }
+        revived = IngestionServer.restore(snapshot)
+        assert revived._seen == {stray}
+        assert revived.accepted_keys == frozenset(keys + [stray])
+        assert revived.summary()["duplicates"] == 2.0
+        revived.ingest_record(dict(records[0]))
+        assert revived.duplicates == 3
+        assert "duration_stats" not in revived.checkpoint()
 
 
 class TestDrainResumeByteIdentity:
@@ -401,21 +479,25 @@ class TestDrainResumeByteIdentity:
                 == json.dumps(direct, sort_keys=True))
 
     def test_sigkill_window_between_wal_and_dedup_is_safe(self, tmp_path):
-        """A crash after the WAL fsync but before the dedup insert
-        must not drop or double-count the record on retry."""
+        """A crash after the WAL fsync but before the accounting must
+        not drop or double-count the record: the store owns it, so the
+        retry is a duplicate — in the same process and after a
+        restart — and the store holds one copy."""
         records = _records()
         store = _store(tmp_path)
         server = IngestionServer()
         server.attach_store(store)
         data = dict(records[0])
-        key = record_identity(data)
-        # Simulate the torn window: the store owns the record, the
-        # dedup set does not.
-        store.append(dict(data), key=key)
-        server._seen.discard(key)
+        # The torn window: the WAL line landed, the accounting did not.
+        store.append(dict(data), key=record_identity(data))
         server.ingest_record(dict(data))  # the client retry
-        assert server.accepted == 1
-        assert len(store.known_keys()) == 1
+        assert (server.accepted, server.duplicates) == (0, 1)
+        revived = IngestionServer.restore(server.checkpoint(),
+                                          store=_store(tmp_path))
+        revived.ingest_record(dict(data))
+        assert (revived.accepted, revived.duplicates) == (0, 2)
+        assert set(revived.store) == {record_identity(data)}
+        assert revived.store.n_tail_records == 1
 
 
 def _on_disk(store):
