@@ -18,33 +18,42 @@ Quickstart::
     study = NationwideStudy(scenario=smoke_scenario())
     result = study.run()
     print(result.render())
+
+The flat exports below are lazy (PEP 562): ``from repro import X``
+works as always, but imports ``X``'s defining module only when ``X``
+is first used.  ``import repro.serve`` or ``repro scrub`` therefore
+loads the serve / store closure alone, never the fleet simulator,
+scipy or the sharded engine.
 """
 
-from repro.chaos import (
-    ChaosConfig,
-    ReconciliationReport,
-    run_telemetry_pipeline,
-)
-from repro.core.study import NationwideStudy, StudyResult, run_ab_evaluation
-from repro.core.enhancements import FittedEnhancements, fit_enhancements
-from repro.core.events import FailureType
-from repro.fleet.scenario import (
-    ScenarioConfig,
-    default_scenario,
-    full_scenario,
-    smoke_scenario,
-)
-from repro.fleet.simulator import FleetSimulator
-from repro.dataset.store import Dataset, load_dataset, save_dataset
-from repro.analysis.evaluation import ABEvaluation, evaluate_ab
-from repro.parallel import (
-    ShardSpec,
-    ShardStats,
-    run_sharded,
-    shard_bounds,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.chaos.config": ("ChaosConfig",),
+    "repro.chaos.reconcile": ("ReconciliationReport",),
+    "repro.chaos.pipeline": ("run_telemetry_pipeline",),
+    "repro.core.study": (
+        "NationwideStudy",
+        "StudyResult",
+        "run_ab_evaluation",
+    ),
+    "repro.core.enhancements": ("FittedEnhancements", "fit_enhancements"),
+    "repro.core.events": ("FailureType",),
+    "repro.fleet.scenario": (
+        "ScenarioConfig",
+        "default_scenario",
+        "full_scenario",
+        "smoke_scenario",
+    ),
+    "repro.fleet.simulator": ("FleetSimulator",),
+    "repro.dataset.store": ("Dataset", "load_dataset", "save_dataset"),
+    "repro.analysis.evaluation": ("ABEvaluation", "evaluate_ab"),
+    "repro.parallel.sharding": ("ShardSpec", "shard_bounds"),
+    "repro.parallel.stats": ("ShardStats",),
+    "repro.parallel.engine": ("run_sharded",),
+})
 
 __all__ = [
     "NationwideStudy",

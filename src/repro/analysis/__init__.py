@@ -2,8 +2,14 @@
 Android-phone landscape (Sec. 3.2), error-code decomposition (Table 2),
 the ISP/BS landscape (Sec. 3.3), RAT-transition matrices (Fig. 17), and
 the A/B evaluation of the enhancements (Sec. 4.3).  Everything here is
-computed from dataset records only — never copied from quantities."""
+computed from dataset records only — never copied from quantities.
 
+The columnar names are imported eagerly: the store and query paths
+load :mod:`repro.analysis.columnar` anyway, and ``columnar`` must
+shadow its own submodule.  The per-figure statistics (which pull in
+the Android and error-code tables) resolve on first access."""
+
+from repro._lazy import lazy_exports
 from repro.analysis.columnar import (
     AnalysisPartial,
     ColumnarView,
@@ -13,24 +19,27 @@ from repro.analysis.columnar import (
     invalidate_columnar,
     merge_analysis_blocks,
 )
-from repro.analysis.stats import GeneralStats, compute_general_stats
-from repro.analysis.landscape import (
-    ModelStats,
-    compare_5g,
-    compare_android_versions,
-    per_model_stats,
-)
-from repro.analysis.decomposition import error_code_decomposition
-from repro.analysis.isp_bs import (
-    bs_failure_ranking,
-    fit_zipf,
-    normalized_prevalence_by_level,
-    normalized_prevalence_by_rat_level,
-    per_isp_stats,
-    per_rat_bs_prevalence,
-)
-from repro.analysis.transitions import transition_increase_matrix
-from repro.analysis.evaluation import ABEvaluation, evaluate_ab
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.stats": ("GeneralStats", "compute_general_stats"),
+    "repro.analysis.landscape": (
+        "ModelStats",
+        "compare_5g",
+        "compare_android_versions",
+        "per_model_stats",
+    ),
+    "repro.analysis.decomposition": ("error_code_decomposition",),
+    "repro.analysis.isp_bs": (
+        "bs_failure_ranking",
+        "fit_zipf",
+        "normalized_prevalence_by_level",
+        "normalized_prevalence_by_rat_level",
+        "per_isp_stats",
+        "per_rat_bs_prevalence",
+    ),
+    "repro.analysis.transitions": ("transition_increase_matrix",),
+    "repro.analysis.evaluation": ("ABEvaluation", "evaluate_ab"),
+})
 
 __all__ = [
     "AnalysisPartial",

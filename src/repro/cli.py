@@ -35,8 +35,9 @@ checkpoint/retry granularity independently of worker count.
 (:mod:`repro.serve`): it prints ``serving on HOST:PORT`` once bound
 and, on SIGTERM/SIGINT, drains the admission queue, writes the
 ``--checkpoint`` snapshot, and exits zero; ``--resume`` restores a
-previous drain checkpoint (dedup state, aggregates, and any payloads
-that were still queued).  With ``--store-dir`` accepted records live
+previous drain checkpoint (ingest counters and dedup state, admission
+accounting with its shed identities, and any payloads that were still
+queued).  With ``--store-dir`` accepted records live
 in a durable WAL-backed segment store (:mod:`repro.store`) instead of
 server memory, and the drain checkpoint shrinks to the unsealed tail;
 ``scrub`` verifies such a store's checksums, quarantines damaged
@@ -67,35 +68,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.analysis.columnar import (
-    analysis_summary,
-    compute_analysis_block,
-    merge_analysis_blocks,
-)
-from repro.analysis.report import render_ab_evaluation
-from repro.core.enhancements import fit_recovery_trigger
-from repro.core.study import NationwideStudy, run_ab_evaluation
-from repro.dataset.store import load_dataset, save_dataset
-from repro.fleet.scenario import (
-    ENGINE_BATCH,
-    ENGINE_SERIAL,
-    ScenarioConfig,
-)
-from repro.fleet.simulator import FleetSimulator
-from repro.network.topology import TopologyConfig
-from repro.obs import merge_snapshots
-from repro.obs.export import (
-    dataset_metrics_snapshot,
-    write_metrics_json,
-    write_metrics_prometheus,
-)
+if TYPE_CHECKING:
+    from repro.fleet.scenario import ScenarioConfig
+
+#: ``--engine`` choices, serial first (the default).  The same literals
+#: as :data:`repro.fleet.scenario.ENGINE_SERIAL` / ``ENGINE_BATCH`` (a
+#: test pins them): importing that module here would load the network
+#: and radio models into every ``repro serve`` / ``scrub`` / ``query``.
+ENGINES = ("serial", "batch")
 
 
 def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    from repro.fleet.scenario import ENGINE_SERIAL, ScenarioConfig
+    from repro.network.topology import TopologyConfig
+
     return ScenarioConfig(
         n_devices=args.devices,
         seed=args.seed,
@@ -121,6 +111,13 @@ def _export_metrics(args: argparse.Namespace, *datasets) -> None:
     """
     if not _metrics_enabled(args):
         return
+    from repro.obs import merge_snapshots
+    from repro.obs.export import (
+        dataset_metrics_snapshot,
+        write_metrics_json,
+        write_metrics_prometheus,
+    )
+
     snapshot = merge_snapshots(
         [dataset_metrics_snapshot(dataset) for dataset in datasets]
     )
@@ -141,6 +138,12 @@ def _export_analysis(args: argparse.Namespace, *datasets) -> None:
     """
     if not getattr(args, "analysis_out", None):
         return
+    from repro.analysis.columnar import (
+        analysis_summary,
+        compute_analysis_block,
+        merge_analysis_blocks,
+    )
+
     merged = merge_analysis_blocks([
         dataset.metadata.get("analysis")
         or compute_analysis_block(dataset)
@@ -173,8 +176,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="fleet size (default 2000)")
     parser.add_argument("--seed", type=int, default=2020,
                         help="scenario seed (default 2020)")
-    parser.add_argument("--engine", choices=(ENGINE_SERIAL, ENGINE_BATCH),
-                        default=ENGINE_SERIAL,
+    parser.add_argument("--engine", choices=ENGINES, default=ENGINES[0],
                         help="simulation engine: 'serial' walks the "
                              "per-device state machines, 'batch' "
                              "advances whole shards with vectorized "
@@ -210,6 +212,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    from repro.core.study import NationwideStudy
+    from repro.dataset.store import save_dataset
+    from repro.fleet.simulator import FleetSimulator
+
     scenario = _scenario(args)
     study = NationwideStudy(scenario=scenario)
     dataset = FleetSimulator(scenario.vanilla()).run(
@@ -241,6 +247,9 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_ab(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_ab_evaluation
+    from repro.core.study import run_ab_evaluation
+
     vanilla, patched, evaluation = run_ab_evaluation(
         _scenario(args), workers=args.workers, n_shards=args.shards,
         checkpoint_dir=args.checkpoint_dir, resume=args.resume,
@@ -252,6 +261,11 @@ def cmd_ab(args: argparse.Namespace) -> int:
 
 
 def cmd_timp(args: argparse.Namespace) -> int:
+    import random
+
+    from repro.core.enhancements import fit_recovery_trigger
+    from repro.fleet.simulator import FleetSimulator
+
     dataset = FleetSimulator(_scenario(args).vanilla()).run(
         workers=args.workers,
         n_shards=args.shards,
@@ -276,7 +290,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.analysis.columnar import analysis_summary
     from repro.obs import ThreadSafeRegistry, use_registry
+    from repro.obs.export import write_metrics_json, write_metrics_prometheus
     from repro.serve import IngestService, ServeConfig
 
     if args.resume and not args.checkpoint:
@@ -412,9 +428,14 @@ def cmd_scrub(args: argparse.Namespace) -> int:
         store.flush()
     print(report.render())
     if report.lost_keys:
+        if args.no_repair:
+            advice = ("a repairing scrub (without --no-repair) drops "
+                      "their identities from the store")
+        else:
+            advice = "their identities have left the store"
         print(f"note: {len(report.lost_keys)} record(s) are "
-              "unrecoverable; forget their identities at the ingest "
-              "layer so devices re-upload them", file=sys.stderr)
+              f"unrecoverable; {advice}, so a re-upload of any of them "
+              "is accepted as new", file=sys.stderr)
     if args.json:
         Path(args.json).write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True)
@@ -467,6 +488,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.core.study import NationwideStudy
+    from repro.dataset.store import load_dataset
+
     dataset = load_dataset(args.path)
     print(NationwideStudy.analyze(dataset).render())
     _export_analysis(args, dataset)

@@ -98,6 +98,39 @@ def _seal_entry(entry: dict) -> bytes:
     return line.encode("utf-8")
 
 
+#: Byte layout of a :func:`_seal_entry` line: ``{"crc": "`` + tag +
+#: ``", `` + the canonical dump without its opening brace.
+_TAG_START = len(b'{"crc": "')
+_TAG_END = _TAG_START + _CRC_BYTES
+_BODY_START = _TAG_END + len(b'", ')
+
+
+def _verify_line(raw: bytes) -> tuple[dict | None, str | None]:
+    """``(entry, None)`` for an intact journal line, else ``(None,
+    "undecodable" | "crc-mismatch")``.
+
+    The rule is the entry's: its ``crc`` must equal :func:`_line_crc`
+    of the parsed entry.  A line :func:`_seal_entry` wrote carries the
+    canonical dump as its own bytes after the tag, so hashing those
+    bytes proves the rule without re-dumping the entry; only a line
+    that fails that byte check (damage, or an intact entry spelled
+    differently, e.g. ``\\u00E9`` for ``\\u00e9``) is re-dumped and
+    judged by the rule itself.  Every verdict is the rule's.
+    """
+    try:
+        entry = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None, "undecodable"
+    if (raw.startswith(b'{"crc": "')
+            and raw[_TAG_END:_BODY_START] == b'", '
+            and hashlib.sha256(b"{" + raw[_BODY_START:]).hexdigest()
+            [:_CRC_BYTES].encode() == raw[_TAG_START:_TAG_END]):
+        return entry, None
+    if not isinstance(entry, dict) or entry.get("crc") != _line_crc(entry):
+        return None, "crc-mismatch"
+    return entry, None
+
+
 @dataclass
 class QueryResult:
     """One streaming fold over the store, damage accounted."""
@@ -480,19 +513,8 @@ class SegmentStore:
                 return
             raw = blob[offset:newline]
             offset = newline + 1
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self._journal_good_bytes = offset
-                yield None, "undecodable", raw
-                continue
-            if (not isinstance(entry, dict)
-                    or entry.get("crc") != _line_crc(entry)):
-                self._journal_good_bytes = offset
-                yield None, "crc-mismatch", raw
-                continue
             self._journal_good_bytes = offset
-            yield entry, None, raw
+            yield *_verify_line(raw), raw
 
     def _load_journal(self) -> None:
         wal_rows: dict[str, dict] = {}

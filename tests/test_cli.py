@@ -27,6 +27,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze"])
 
+    def test_engine_choices_are_the_scenario_engines(self):
+        from repro.cli import ENGINES
+        from repro.fleet.scenario import ENGINE_BATCH, ENGINE_SERIAL
+
+        assert ENGINES == (ENGINE_SERIAL, ENGINE_BATCH)
+        args = build_parser().parse_args(["study"])
+        assert args.engine == ENGINE_SERIAL
+        assert build_parser().parse_args(
+            ["study", "--engine", ENGINE_BATCH]).engine == ENGINE_BATCH
+
 
 class TestValidation:
     """Bad resource arguments die at parse time with a clear message."""
@@ -206,7 +216,9 @@ class TestScrub:
         assert report["lost_keys"] == []
         assert (store.quarantine_dir / victim.name).exists()
 
-    def test_scrub_strict_fails_on_lost_records(self, tmp_path):
+    def test_scrub_strict_fails_on_lost_records(self, tmp_path, capsys):
+        import json
+
         from repro.serve.harness import synthetic_records
         from repro.store import SegmentStore
 
@@ -221,7 +233,26 @@ class TestScrub:
         blob = bytearray(victim.read_bytes())
         blob[-4] ^= 0x08
         victim.write_bytes(bytes(blob))
-        assert main(["scrub", str(store.root)]) == 0
+        assert main(["scrub", str(store.root), "--no-repair"]) == 0
+        err = capsys.readouterr().err
+        assert ("record(s) are unrecoverable; a repairing scrub "
+                "(without --no-repair) drops their identities from the "
+                "store, so a re-upload of any of them is accepted as "
+                "new") in err
+        report_path = tmp_path / "scrub.json"
+        assert main(["scrub", str(store.root),
+                     "--json", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert ("record(s) are unrecoverable; their identities have "
+                "left the store, so a re-upload of any of them is "
+                "accepted as new") in err
+        assert "ingest layer" not in err
+        # The advice holds: the reopened store no longer owns them.
+        lost = json.loads(report_path.read_text())["lost_keys"]
+        reopened = SegmentStore(store.root, seal_records=5,
+                                device_bucket=4, time_bucket_s=240.0,
+                                wal=False)
+        assert lost and not any(key in reopened for key in lost)
         # Damage again for the strict run (first run repaired).
         store2 = SegmentStore(tmp_path / "store2", seal_records=5,
                               device_bucket=4, time_bucket_s=240.0,

@@ -25,7 +25,7 @@ from repro.store import (
     decode_segment,
     encode_segment,
 )
-from repro.store.store import _line_crc, _seal_entry
+from repro.store.store import _line_crc, _seal_entry, _verify_line
 
 
 def _records(n_devices=12, per_device=6, seed=7):
@@ -600,3 +600,85 @@ class TestSealEntry:
         loaded = json.loads(line)
         assert loaded["crc"] == _line_crc(loaded)
         assert "crc" not in entry  # the caller's dict is left alone
+
+    @pytest.mark.parametrize("entry", ENTRIES,
+                             ids=[e["op"] for e in ENTRIES])
+    def test_sealed_line_verifies_from_its_own_bytes(self, entry,
+                                                     monkeypatch):
+        def no_redump(_entry):
+            raise AssertionError("an intact sealed line was re-dumped")
+
+        monkeypatch.setattr("repro.store.store._line_crc", no_redump)
+        assert _verify_line(_seal_entry(entry)) == (json.loads(
+            _seal_entry(entry)), None)
+
+
+def _rule_verdict(raw: bytes):
+    """The journal rule, stated directly: parse, re-dump, compare."""
+    try:
+        entry = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None, "undecodable"
+    if not isinstance(entry, dict) or entry.get("crc") != _line_crc(entry):
+        return None, "crc-mismatch"
+    return entry, None
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner,
+                                     max_size=3)),
+    max_leaves=10,
+)
+_ENTRIES = st.builds(
+    lambda op, key, data, extra: {**extra, "op": op, "key": key,
+                                  "data": data},
+    st.sampled_from(["wal", "commit", "quarantine"]),
+    # A non-ASCII character in every entry, so the line always carries
+    # a \u00XX escape the case-flip mutation can reach.
+    st.text(max_size=8).map(lambda text: "é" + text),
+    _JSON,
+    st.dictionaries(st.text(max_size=5).filter(lambda k: k != "crc"),
+                    _JSON, max_size=3),
+)
+
+
+class TestJournalVerdicts:
+    """The byte check decides exactly what the parse-and-re-dump rule
+    decides, on intact, damaged and differently spelled lines."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(entry=_ENTRIES, data=st.data())
+    def test_verdicts_match_the_rule(self, entry, data):
+        line = _seal_entry(entry)
+        assert _verify_line(line) == _rule_verdict(line)
+        assert _verify_line(line)[0] is not None
+
+        offset = data.draw(st.integers(0, len(line) - 1))
+        flipped = bytearray(line)
+        flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
+        assert _verify_line(bytes(flipped)) == _rule_verdict(bytes(flipped))
+
+        cut = line[:data.draw(st.integers(0, len(line) - 1))]
+        assert _verify_line(cut) == _rule_verdict(cut)
+
+        # Respelling the escape u00e9 as u00E9 is one bit flip that
+        # changes no character: the bytes fail, the entry is intact,
+        # the line is accepted.
+        escape = line.index(b'"key": "\\u00e9') + len(b'"key": "')
+        respelled = line[:escape + 4] + b"E" + line[escape + 5:]
+        assert _verify_line(respelled) == _rule_verdict(respelled)
+        assert _verify_line(respelled)[0] == json.loads(line)
+
+        # Intact entry, keys in another order (the tag still first or
+        # not): accepted by the rule, so by the verifier too.
+        keys = list(data.draw(st.permutations(sorted(entry))))
+        crc = _line_crc(entry)
+        for position in (0, len(keys)):
+            ordered = [(k, entry[k]) for k in keys]
+            ordered.insert(position, ("crc", crc))
+            reordered = json.dumps(dict(ordered)).encode("utf-8")
+            assert _verify_line(reordered) == _rule_verdict(reordered)
+            assert _verify_line(reordered)[0] is not None
