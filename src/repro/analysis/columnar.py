@@ -630,7 +630,12 @@ class SegmentPartial:
     def from_rows(cls, rows: list, getter=itemgetter) -> "SegmentPartial":
         """Reduce store rows (record dicts) to a partial; pass
         ``getter=attrgetter`` for ``FailureRecord`` objects."""
-        f = _build_failures(rows, getter)
+        return cls.from_columns(_build_failures(rows, getter))
+
+    @classmethod
+    def from_columns(cls, f: FailureColumns) -> "SegmentPartial":
+        """Reduce failure columns (any number of segments' worth) to
+        one partial."""
         devices, counts = np.unique(f.device_id, return_counts=True)
         return cls(
             partial=AnalysisPartial.from_columns(f),

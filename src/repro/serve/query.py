@@ -22,9 +22,9 @@ requests over it *live*, with three guarantees:
   partition.  An answer decodes only segments it has not seen,
   reduces only rows appended since the previous answer, and returns
   the two folds merged, so it costs the new rows — not the tail, not
-  the segment count.  The sealed side is rebuilt (from cached
-  per-segment partials, with accounting) when a folded digest leaves
-  the live set — scrub quarantined the segment, or a re-seal
+  the segment count.  The sealed side is rebuilt (by reading the
+  surviving segments again, with accounting) when a folded digest
+  leaves the live set — scrub quarantined the segment, or a re-seal
   superseded it; the tail side when a mark no longer holds — its
   partition sealed or was filtered by scrub.  A mark is the tail list
   itself, checked by *identity*, not by length: a tail that sealed
@@ -104,7 +104,8 @@ class QueryEngine:
 
     @property
     def cache(self):
-        """The state's per-segment partials and their hit accounting."""
+        """The state's folded segment digests and their per-segment
+        hit / miss / invalidation accounting."""
         return self.state.cache
 
     def fold(self) -> FoldResult:

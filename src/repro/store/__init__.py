@@ -12,6 +12,7 @@ and ``repro scrub`` classifies, quarantines, and repairs them.  See
 from repro.store.segment import (
     SEGMENT_VERSION,
     SegmentCorruptError,
+    decode_columns,
     decode_segment,
     encode_segment,
     segment_digest,
@@ -38,6 +39,7 @@ __all__ = [
     "SegmentStore",
     "StoreError",
     "StoreSnapshot",
+    "decode_columns",
     "decode_segment",
     "encode_segment",
     "segment_digest",

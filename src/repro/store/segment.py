@@ -12,7 +12,8 @@ sorted category table.  The container is self-verifying::
 
 The header-line digest covers the whole body (JSON header + arrays),
 so a torn write, a flipped bit, or a truncation anywhere in the file
-is detected by :func:`decode_segment` — which raises
+is detected by :func:`decode_columns` (which :func:`decode_segment`
+and every other reader go through) — it raises
 :class:`SegmentCorruptError` with the failure mode, never returns
 partial data.  Encoding and decoding are exact inverses on
 ``FailureRecord.to_dict()`` dicts: ints, floats (binary64, no text
@@ -28,7 +29,11 @@ import json
 
 import numpy as np
 
-from repro.analysis.columnar import RESOLVED_BY_NONE, _encode
+from repro.analysis.columnar import (
+    RESOLVED_BY_NONE,
+    FailureColumns,
+    _encode,
+)
 
 #: Bumped when the container layout changes incompatibly.
 SEGMENT_VERSION = 1
@@ -136,12 +141,15 @@ def segment_digest(blob: bytes) -> str:
     return hashlib.sha256(blob[newline + 1:]).hexdigest()
 
 
-def decode_segment(blob: bytes) -> tuple[list[dict], dict]:
-    """Verify and decode one segment blob back into record dicts.
+def decode_columns(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
+    """Verify one segment blob and return its typed columns.
 
-    Returns ``(rows, header)``.  Raises :class:`SegmentCorruptError`
-    on any damage: bad magic, version skew, digest mismatch (torn
-    write / bit flip / truncation), or a malformed header.
+    Returns ``(columns, header)``: each column a little-endian view
+    into ``blob``, string fields as codes over
+    ``header["categories"]``.  Raises :class:`SegmentCorruptError` on
+    any damage: bad magic, version skew, digest mismatch (torn write /
+    bit flip / truncation), a malformed header, or a column whose
+    length is not ``n_records``.
     """
     newline = blob.find(b"\n")
     head = blob[:newline].split() if newline >= 0 else []
@@ -164,11 +172,11 @@ def decode_segment(blob: bytes) -> tuple[list[dict], dict]:
         header = json.loads(body[:split].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SegmentCorruptError(f"unreadable header: {exc}") from exc
-    arrays_blob = body[split + len(_SEPARATOR):]
+    arrays = memoryview(body)[split + len(_SEPARATOR):]
     n = header["n_records"]
     columns: dict[str, np.ndarray] = {}
     for spec in header["columns"]:
-        raw = arrays_blob[spec["offset"]:spec["offset"] + spec["nbytes"]]
+        raw = arrays[spec["offset"]:spec["offset"] + spec["nbytes"]]
         array = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))
         if len(array) != n:
             raise SegmentCorruptError(
@@ -176,10 +184,15 @@ def decode_segment(blob: bytes) -> tuple[list[dict], dict]:
                 f"for {n} records"
             )
         columns[spec["name"]] = array
-    categories = header["categories"]
+    return columns, header
 
+
+def decode_rows(columns: dict[str, np.ndarray],
+                header: dict) -> list[dict]:
+    """The record dicts of :func:`decode_columns` output."""
+    categories = header["categories"]
     rows: list[dict] = []
-    for i in range(n):
+    for i in range(header["n_records"]):
         row: dict = {}
         for name in _INT_FIELDS:
             row[name] = int(columns[name][i])
@@ -196,4 +209,81 @@ def decode_segment(blob: bytes) -> tuple[list[dict], dict]:
         row["resolved_by"] = (None if resolved == RESOLVED_BY_NONE
                               else resolved)
         rows.append(row)
-    return rows, header
+    return rows
+
+
+def decode_segment(blob: bytes) -> tuple[list[dict], dict]:
+    """Verify and decode one segment blob back into record dicts.
+
+    Returns ``(rows, header)``; raises :class:`SegmentCorruptError`
+    exactly where :func:`decode_columns` does.
+    """
+    columns, header = decode_columns(blob)
+    return decode_rows(columns, header), header
+
+
+#: The segment columns a fold reads — each a
+#: :class:`~repro.analysis.columnar.FailureColumns` field of the same
+#: name — with the dtype the field holds it in (``has_5g`` as bool).
+_FOLD_NUMERIC = (
+    ("device_id", "<i8"), ("model", "<i8"), ("has_5g", "|u1"),
+    ("duration_s", "<f8"), ("bs_id", "<i8"), ("signal_level", "<i8"),
+    ("stages_executed", "<i8"), ("resolved_by", "<i8"),
+)
+#: Category-coded segment columns a fold reads.
+_FOLD_CODED = ("failure_type", "isp", "rat")
+
+
+def failure_columns(segments) -> FailureColumns:
+    """One :class:`~repro.analysis.columnar.FailureColumns` over
+    decoded segments, in order.
+
+    ``segments`` yields :func:`decode_columns` pairs; each segment's
+    columns are copied out as it is consumed, so a generator that
+    reads and decodes lazily lets every blob go before the next is
+    read.  A string field's codes go through a lookup array into one
+    table, ranked once at the end into the sorted union of the
+    segments' tables — each table holds only values present in its
+    segment, so that union is the table ``_build_failures`` would
+    build over all the rows, and the block is identical.
+    """
+    numeric = {name: bytearray() for name, _dtype in _FOLD_NUMERIC}
+    coded = {name: bytearray() for name in _FOLD_CODED}
+    #: Field -> category -> its code in order of first appearance.
+    tables: dict[str, dict] = {name: {} for name in _FOLD_CODED}
+    for columns, header in segments:
+        for name, dtype in _FOLD_NUMERIC:
+            numeric[name] += columns[name].astype(dtype,
+                                                  copy=False).tobytes()
+        categories = header["categories"]
+        for name in _FOLD_CODED:
+            table = tables[name]
+            lookup = np.fromiter(
+                (table.setdefault(cat, len(table))
+                 for cat in categories[name]),
+                np.int64, len(categories[name]),
+            )
+            coded[name] += lookup[columns[name]].tobytes()
+
+    def ranked(name: str) -> tuple[np.ndarray, tuple[str, ...]]:
+        table = tables[name]
+        cats = sorted(table)
+        rank = np.empty(len(cats), np.int64)
+        rank[[table[cat] for cat in cats]] = np.arange(len(cats))
+        return rank[np.frombuffer(coded[name], np.int64)], tuple(cats)
+
+    arrays = {name: np.frombuffer(numeric[name], np.dtype(dtype))
+              for name, dtype in _FOLD_NUMERIC}
+    arrays["has_5g"] = arrays["has_5g"].astype(bool)
+    type_codes, types = ranked("failure_type")
+    isp_codes, isps = ranked("isp")
+    rat_codes, rats = ranked("rat")
+    return FailureColumns(
+        **arrays,
+        failure_type_codes=type_codes,
+        failure_types=types,
+        isp_codes=isp_codes,
+        isps=isps,
+        rat_codes=rat_codes,
+        rats=rats,
+    )

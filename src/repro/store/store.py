@@ -15,13 +15,15 @@
   durable; any fault before that leaves the records in the tail (and
   in the WAL), never half-owned;
 * **queries fold, never crash** — :meth:`SegmentStore.fold_snapshot`
-  folds one :class:`~repro.analysis.columnar.SegmentPartial` per live
-  segment plus the tail rows (their per-device evidence makes the
-  fold byte-identical to computing over all records at once, however
-  devices spread across segments), and a reader that keeps its
-  :class:`FoldState` pays only for what was appended since its last
-  fold; corrupt segments are skipped *with accounting*, never
-  silently;
+  reads the live segments it has not folded yet as typed columns,
+  concatenates them and reduces them as one
+  :class:`~repro.analysis.columnar.SegmentPartial` per chunk of rows,
+  beside a running fold of the tail rows (the per-device evidence
+  makes the fold byte-identical to computing over all records at
+  once, however devices spread across segments); a reader that keeps
+  its :class:`FoldState` pays only for what was appended since its
+  last fold, and corrupt segments are skipped *with accounting*,
+  never silently;
 * **scrub classifies and repairs** — :meth:`SegmentStore.scrub`
   verifies every live segment digest, quarantines damaged files,
   re-adopts valid orphans (a crash between rename and commit),
@@ -58,8 +60,11 @@ from repro.dataset.records import FailureRecord, record_identity
 from repro.obs import get_registry
 from repro.store.segment import (
     SegmentCorruptError,
+    decode_columns,
+    decode_rows,
     decode_segment,
     encode_segment,
+    failure_columns,
     segment_digest,
 )
 
@@ -68,6 +73,11 @@ JOURNAL_VERSION = 1
 
 _JOURNAL = "journal.jsonl"
 _CRC_BYTES = 16
+
+#: Most committed rows a fold concatenates into one batch before
+#: reducing it, so transient memory stays bounded however large the
+#: store; a single larger segment is a batch of its own.
+FOLD_CHUNK_ROWS = 65_536
 
 
 class StoreError(RuntimeError):
@@ -146,7 +156,7 @@ class QueryResult:
     #: Live segments answered without decoding / that it had to read.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Cached partials dropped because their segment left the live set.
+    #: Folded segments that had left the live set.
     invalidations: int = 0
     #: Sides of the :class:`FoldState` rebuilt: "sealed" and/or "tail".
     rebuilt: tuple[str, ...] = ()
@@ -189,45 +199,47 @@ class StoreSnapshot:
 
 
 class PartialCache:
-    """Per-segment partials keyed by the committed sha256 digest.
+    """The sealed segments a :class:`FoldState` has folded, by
+    committed sha256 digest, and the accounting of its folds.
 
     Sealed segments are immutable, so a digest fully identifies the
-    batch — entries never go stale, they only become unreachable when
-    their segment leaves the live set (quarantine or supersede), at
-    which point :meth:`prune` drops them with accounting.  It is what
-    a :class:`FoldState` rebuilds its sealed side from.  ``hits``
-    counts live segments a fold answered without decoding them,
-    ``misses`` the ones it had to read.
+    batch: while its segment stays live, a digest in ``digests`` is in
+    the state's sealed fold and is never read again.  ``hits`` counts
+    live segments a fold answered without reading them, ``misses``
+    the ones it had to read, ``invalidations`` folded segments that
+    left the live set (quarantine or supersede).
     """
 
     def __init__(self) -> None:
-        self.entries: dict[str, SegmentPartial] = {}
+        self.digests: set[str] = set()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
     def prune(self, live_digests) -> int:
-        """Evict entries for segments no longer live; returns count."""
-        dead = [digest for digest in self.entries
-                if digest not in live_digests]
-        for digest in dead:
-            del self.entries[digest]
-        self.invalidations += len(dead)
-        return len(dead)
+        """If folded digests left ``live_digests``, count them and
+        forget every digest — a running fold cannot subtract one, so
+        the sealed side must be refolded from the survivors; returns
+        how many left."""
+        dead = len(self.digests.difference(live_digests))
+        if dead:
+            self.digests.clear()
+            self.invalidations += dead
+        return dead
 
 
 class FoldState:
     """What a reader carries between folds, so that an answer costs
     the rows appended since its previous one.
 
-    Two running folds.  ``sealed`` holds exactly the segments in
-    ``cache`` — its keys are the digests already folded — and is
-    rebuilt from the cached partials when one of them leaves the live
-    set (a running fold cannot subtract).  ``tail`` holds the first
-    ``done[i]`` rows of tail list ``tails[i]``, and is rebuilt from
-    the snapshot when :func:`_tail_delta` finds one of those lists
-    gone.  A segment that fails verification never enters the state,
-    so it is retried and reported on every fold.
+    Two running folds.  ``sealed`` holds exactly the segments whose
+    digests ``cache`` lists, and is refolded from the surviving
+    segments when one of them leaves the live set (a running fold
+    cannot subtract).  ``tail`` holds the first ``done[i]`` rows of
+    tail list ``tails[i]``, and is rebuilt from the snapshot when
+    :func:`_tail_delta` finds one of those lists gone.  A segment that
+    fails verification never enters the state, so it is retried and
+    reported on every fold.
 
     Nothing here refers to the store by name or position — sealed
     content is keyed by digest, tails by object identity — so a state
@@ -243,6 +255,22 @@ class FoldState:
         #: many rows of each: the marks.
         self.tails: list = []
         self.done: list = []
+
+
+def _chunks(names: list[str], live: dict):
+    """``names`` in runs of at most :data:`FOLD_CHUNK_ROWS` committed
+    rows; a larger segment is a run of its own."""
+    chunk: list[str] = []
+    rows = 0
+    for name in names:
+        n = live[name]["n_records"]
+        if chunk and rows + n > FOLD_CHUNK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append(name)
+        rows += n
+    if chunk:
+        yield chunk
 
 
 def _tail_delta(snapshot: StoreSnapshot,
@@ -709,45 +737,37 @@ class SegmentStore:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_segment(self, name: str,
-                     entry: dict | None = None) -> list[dict]:
-        """Decode one live segment; raises SegmentCorruptError on damage.
-
-        ``entry`` lets a snapshot reader pass the commit entry it
-        captured instead of consulting the live map (which may have
-        moved on).
-        """
-        if entry is None:
-            entry = self._live.get(name)
-        if entry is None:
-            raise StoreError(f"no live segment named {name}")
+    def _read_columns(self, name: str,
+                      entry: dict) -> tuple[dict, dict]:
+        """Read and verify one segment against its commit entry:
+        ``(columns, header)``, or :class:`SegmentCorruptError`."""
         try:
             blob = self.io.read_bytes(self.segments_dir / name)
         except FileNotFoundError:
             raise SegmentCorruptError("segment file missing") from None
         except OSError as exc:
             raise SegmentCorruptError(f"unreadable: {exc}") from exc
-        rows, header = decode_segment(blob)
-        if len(rows) != entry["n_records"]:
+        columns, header = decode_columns(blob)
+        if header["n_records"] != entry["n_records"]:
             raise SegmentCorruptError(
-                f"segment holds {len(rows)} records, journal committed "
-                f"{entry['n_records']}"
+                f"segment holds {header['n_records']} records, journal "
+                f"committed {entry['n_records']}"
             )
-        return rows
+        return columns, header
 
-    def _read_or_skip(self, name: str, entry: dict,
-                      skipped: list[dict]) -> list[dict] | None:
-        """Decode one snapshot segment; a corrupt one is counted,
+    def _columns_or_skip(self, name: str, entry: dict,
+                         skipped: list[dict]) -> tuple[dict, dict] | None:
+        """Read one snapshot segment; a corrupt one is counted,
         recorded in ``skipped`` and answered with ``None``."""
         registry = get_registry()
         try:
-            rows = self.read_segment(name, entry=entry)
+            decoded = self._read_columns(name, entry)
         except SegmentCorruptError as exc:
             registry.inc("store_query_segments_skipped_total")
             skipped.append({"segment": name, "reason": exc.reason})
             return None
         registry.inc("store_query_segments_total")
-        return rows
+        return decoded
 
     def iter_rows(self, skipped: list[dict] | None = None):
         """Yield every owned record dict, sealed segments first.
@@ -761,10 +781,38 @@ class SegmentStore:
             skipped = []
         snapshot = self.query_snapshot()
         for name in sorted(snapshot.live):
-            rows = self._read_or_skip(name, snapshot.live[name], skipped)
-            if rows is not None:
-                yield from rows
+            decoded = self._columns_or_skip(name, snapshot.live[name],
+                                            skipped)
+            if decoded is not None:
+                yield from decode_rows(*decoded)
         yield from snapshot.tail_rows()
+
+    def _verified(self, names: list[str], live: dict,
+                  skipped: list[dict], digests: list[str]):
+        """Each named segment's verified columns, read one at a time
+        as the consumer asks; a corrupt one is skipped with
+        accounting, an intact one's digest appended to ``digests``."""
+        for name in names:
+            decoded = self._columns_or_skip(name, live[name], skipped)
+            if decoded is not None:
+                digests.append(live[name]["sha256"])
+                yield decoded
+
+    def _fold_segments(self, names: list[str], live: dict,
+                       state: FoldState, skipped: list[dict]) -> int:
+        """Fold the named segments into ``state.sealed`` as columns:
+        one concatenated batch per :func:`_chunks` run, each blob let
+        go once its columns are copied out.  Returns the rows folded."""
+        folded = 0
+        for chunk in _chunks(names, live):
+            digests: list[str] = []
+            batch = failure_columns(
+                self._verified(chunk, live, skipped, digests))
+            if len(batch):
+                state.sealed.add(SegmentPartial.from_columns(batch))
+            state.cache.digests.update(digests)
+            folded += len(batch)
+        return folded
 
     def fold_snapshot(self, snapshot: StoreSnapshot,
                       state: FoldState) -> QueryResult:
@@ -775,37 +823,28 @@ class SegmentStore:
         :class:`~repro.analysis.columnar.SegmentPartial` batches — the
         sealed segments and the tail rows — whose per-device evidence
         makes it byte-identical to analyzing all records at once even
-        though devices span segments.  A segment is decoded and
-        reduced the first time a state sees its digest, a tail row the
-        first time a state sees it; with a fresh :class:`FoldState`
-        that is everything (:meth:`fold_analysis`), with one kept
-        between calls it is what was appended since the last one.
+        though devices span segments.  A segment is read as typed
+        columns the first time a state sees its digest, and every
+        segment read in one fold is reduced in one batch (per
+        :data:`FOLD_CHUNK_ROWS`); a tail row is reduced the first time
+        a state sees it.  With a fresh :class:`FoldState` that is
+        everything (:meth:`fold_analysis`), with one kept between
+        calls it is what was appended since the last one.
         """
         cache = state.cache
         by_digest = {entry["sha256"]: name
                      for name, entry in snapshot.live.items()}
         rebuilt = []
-        invalidated = 0
-        if not cache.entries.keys() <= by_digest.keys():
-            # A folded segment left the live set (scrub quarantine,
-            # supersede): refold the survivors from their partials.
-            invalidated = cache.prune(by_digest.keys())
+        invalidated = cache.prune(by_digest)
+        if invalidated:
             state.sealed = _Fold()
-            for batch in cache.entries.values():
-                state.sealed.add(batch)
             rebuilt.append("sealed")
-        unseen = by_digest.keys() - cache.entries.keys()
+        unseen = by_digest.keys() - cache.digests
         skipped: list[dict] = []
-        rows_folded = 0
-        for name in sorted(by_digest[digest] for digest in unseen):
-            entry = snapshot.live[name]
-            rows = self._read_or_skip(name, entry, skipped)
-            if rows is None:
-                continue
-            batch = SegmentPartial.from_rows(rows)
-            cache.entries[entry["sha256"]] = batch
-            state.sealed.add(batch)
-            rows_folded += len(rows)
+        rows_folded = self._fold_segments(
+            sorted(by_digest[digest] for digest in unseen),
+            snapshot.live, state, skipped,
+        )
         fresh = _tail_delta(snapshot, state)
         if fresh is None:
             state.tail, state.tails, state.done = _Fold(), [], []
@@ -919,7 +958,7 @@ class SegmentStore:
             entry = self._live[name]
             registry.inc("scrub_segments_checked_total")
             try:
-                rows = self.read_segment(name)
+                self._read_columns(name, entry)
             except SegmentCorruptError as exc:
                 finding = self._classify_damaged(
                     name, entry, exc.reason, wal_rows,
@@ -929,7 +968,6 @@ class SegmentStore:
                 registry.inc("scrub_segments_quarantined_total",
                              reason=exc.reason.split(" ")[0])
                 continue
-            del rows
             report.segments_ok += 1
 
         # Orphan segment files: valid data with no journal commit
@@ -1015,11 +1053,20 @@ class SegmentStore:
         superseded: list[str] = []
         if not self.segments_dir.is_dir():
             return adopted, superseded
+        # Built once and kept in step with every repair below, so a
+        # later orphan sees the keys an earlier one's adoption or
+        # recovery moved (without repair the store, and so the sets,
+        # never change).
+        tail_keys = {key for tail in self._tails.values()
+                     for key, _data in tail}
+        live_keys = {key for live in self._live.values()
+                     for key in live["keys"]}
         for path in sorted(self.segments_dir.glob("seg-*.seg")):
             if path.name in self._live:
                 continue
+            blob = path.read_bytes()
             try:
-                rows, header = decode_segment(path.read_bytes())
+                rows, header = decode_segment(blob)
             except SegmentCorruptError:
                 # A corrupt orphan proves nothing was lost: its rows
                 # were never committed, so they are still in the tail
@@ -1034,11 +1081,6 @@ class SegmentStore:
                         pass
                 continue
             keys = [record_identity(row) for row in rows]
-            tail_keys = {key for tail in self._tails.values()
-                         for key, _data in tail}
-            live_keys: set[str] = set()
-            for live in self._live.values():
-                live_keys.update(live["keys"])
             in_live = [k for k in keys if k in live_keys]
             if len(in_live) == len(keys):
                 # Every row already lives in a committed segment: a
@@ -1072,6 +1114,7 @@ class SegmentStore:
                             (key, row)
                         )
                         self._known.add(key)
+                        tail_keys.add(key)
                     self.quarantine_dir.mkdir(parents=True,
                                               exist_ok=True)
                     try:
@@ -1084,12 +1127,13 @@ class SegmentStore:
             # file — the verified bytes already on disk — and drop the
             # tail copies its WAL lines restored, so the rows have
             # exactly one owner again.
+            new_keys = len([k for k in keys if k not in tail_keys])
             if repair:
                 entry = {
                     "op": "commit",
                     "segment": path.name,
                     "seq": self._seq,
-                    "sha256": segment_digest(path.read_bytes()),
+                    "sha256": segment_digest(blob),
                     "n_records": len(rows),
                     "partition": list(header.get(
                         "partition", self.partition_of(rows[0])
@@ -1109,10 +1153,11 @@ class SegmentStore:
                         self._tails[partition] = kept
                     else:
                         del self._tails[partition]
+                live_keys.update(keyset)
+                tail_keys -= keyset
             adopted.append({
                 "segment": path.name,
                 "n_records": len(rows),
-                "new_keys": len([k for k in keys
-                                 if k not in tail_keys]),
+                "new_keys": new_keys,
             })
         return adopted, superseded

@@ -9,12 +9,14 @@ one fold is exact however records are batched.
 
 import json
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.columnar import (
     SegmentPartial,
+    _build_failures,
     _Fold,
     compute_analysis_block,
 )
@@ -37,6 +39,13 @@ from repro.netstack.stack import DeviceNetStack
 from repro.network.bearer import DEFAULT_CAUSE_SAMPLER
 from repro.radio.rat import RAT
 from repro.simtime import SimClock
+from repro.store.segment import (
+    decode_columns,
+    decode_rows,
+    decode_segment,
+    encode_segment,
+    failure_columns,
+)
 
 
 class TestResolverEngineAgreement:
@@ -242,3 +251,44 @@ class TestSharedDeviceFoldProperty:
         assert json.dumps(right.block(left), sort_keys=True) == offline
         assert alone == [json.dumps(fold.block(), sort_keys=True)
                          for fold in (left, right)]
+
+
+class TestBatchedSegmentFoldProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(_ROW, max_size=60),
+        sizes=st.lists(st.integers(1, 12), max_size=10),
+    )
+    def test_segments_fold_as_one_column_batch(self, rows, sizes):
+        """Split records into segments of any size (each with its own
+        category tables, ``None`` error codes and resolvers included),
+        encode each, and concatenate their decoded columns: the batch
+        is the columns of all the records, its fold the offline block
+        byte for byte, and every segment's rows are what went in."""
+        segments, at = [], 0
+        for size in sizes + [len(rows)]:
+            if at < len(rows):
+                segments.append(rows[at:at + size])
+                at += size
+        blobs = [encode_segment(segment, (0, 0)) for segment in segments]
+        decoded = [decode_columns(blob) for blob in blobs]
+        for segment, blob, (columns, header) in zip(segments, blobs,
+                                                    decoded):
+            assert decode_rows(columns, header) == segment
+            assert decode_segment(blob) == (segment, header)
+        batch = failure_columns(iter(decoded))
+        expected = _build_failures(rows, itemgetter)
+        for name in expected.__dataclass_fields__:
+            got, want = getattr(batch, name), getattr(expected, name)
+            if isinstance(want, tuple):
+                assert got == want, name
+            else:
+                assert got.dtype == want.dtype, name
+                assert got.tolist() == want.tolist(), name
+        fold = _Fold()
+        fold.add(SegmentPartial.from_columns(batch))
+        offline = compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(row) for row in rows
+        ]))
+        assert (json.dumps(fold.block(), sort_keys=True)
+                == json.dumps(offline, sort_keys=True))

@@ -3,7 +3,7 @@
 The load-bearing property is *exactness*: a live query answer must be
 byte-identical (as sorted JSON) to the offline analysis block computed
 over the same records — even though devices span segments and the
-fold caches per-segment partials.  Everything else (shedding,
+fold is carried between answers.  Everything else (shedding,
 timeouts, cache invalidation) protects that property under load and
 damage.
 """
@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.analysis.columnar import (
+    SegmentPartial,
     analysis_summary,
     compute_analysis_block,
 )
@@ -39,6 +40,8 @@ from repro.serve.query import (
     TRANSITIONS_FIELDS,
 )
 from repro.store import SegmentStore
+from repro.store import segment as segment_module
+from repro.store import store as store_module
 
 
 def canonical(block) -> str:
@@ -535,6 +538,92 @@ class TestCarriedFold:
                 assert canonical(fold.block) == prefixes[n], n
         # The readers really did answer mid-stream.
         assert len(prefixes) > 3
+
+
+class TestColumnarColdFold:
+    """A cold fold reads sealed segments as typed columns and reduces
+    them in one batch per chunk of rows: no row dict, no per-segment
+    partial.  Gated on calls and counts, not on a clock."""
+
+    @staticmethod
+    def sealed_store(tmp_path):
+        """Four full segments of four rows, over two partitions."""
+        store = tail_store(tmp_path)
+        store.append_many([(row, None)
+                           for row in rows_of(0, 8) + rows_of(2, 8)])
+        assert (store.n_segments, store.n_tail_records) == (4, 0)
+        return store
+
+    @staticmethod
+    def forbid_row_decoding(monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the row decoder ran")
+
+        monkeypatch.setattr(segment_module, "decode_rows", refuse)
+        monkeypatch.setattr(store_module, "decode_rows", refuse)
+
+    @staticmethod
+    def count_reductions(monkeypatch) -> list[int]:
+        """The row count of every ``SegmentPartial.from_columns``."""
+        calls: list[int] = []
+        reduce = SegmentPartial.from_columns.__func__
+
+        def counted(cls, columns):
+            calls.append(len(columns))
+            return reduce(cls, columns)
+
+        monkeypatch.setattr(SegmentPartial, "from_columns",
+                            classmethod(counted))
+        return calls
+
+    def test_cold_fold_and_scrub_never_build_rows(self, tmp_path,
+                                                  monkeypatch):
+        store = self.sealed_store(tmp_path)
+        offline = canonical(compute_analysis_block(store.dataset()))
+        self.forbid_row_decoding(monkeypatch)
+        engine = QueryEngine(FakeServer(store))
+        fold = engine.fold()
+        assert canonical(fold.block) == offline
+        assert (fold.cache_hits, fold.cache_misses) == (0, 4)
+        assert fold.rows_folded == 16
+        report = store.scrub(repair=False)
+        assert report.clean and report.segments_ok == 4
+
+    @pytest.mark.parametrize("chunk_rows, reductions", [
+        (65_536, [16]), (8, [8, 8]), (9, [8, 8]), (1, [4, 4, 4, 4]),
+    ])
+    def test_a_cold_fold_reduces_once_per_chunk(
+        self, tmp_path, monkeypatch, chunk_rows, reductions
+    ):
+        store = self.sealed_store(tmp_path)
+        offline = canonical(compute_analysis_block(store.dataset()))
+        monkeypatch.setattr(store_module, "FOLD_CHUNK_ROWS", chunk_rows)
+        calls = self.count_reductions(monkeypatch)
+        fold = QueryEngine(FakeServer(store)).fold()
+        assert calls == reductions
+        assert canonical(fold.block) == offline
+
+    def test_a_refold_reads_the_survivors_in_one_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """A folded segment leaves the live set: the survivors are
+        read again, as misses, and reduced together."""
+        store = self.sealed_store(tmp_path)
+        engine = QueryEngine(FakeServer(store))
+        engine.fold()
+        flip_a_byte(sorted(store.segments_dir.glob("*.seg"))[0])
+        assert len(store.scrub(repair=True).quarantined) == 1
+        calls = self.count_reductions(monkeypatch)
+        fold = assert_exact(engine, store)
+        # The three survivors in one batch, then (in the fold from
+        # scratch ``assert_exact`` checks against) the same again,
+        # and the recovered rows once per fold as the tail.
+        assert calls == [12, 4, 12, 4]
+        assert (fold.cache_hits, fold.cache_misses) == (0, 3)
+        assert engine.cache.invalidations == 1
+        assert engine.cache.digests == {
+            entry["sha256"]
+            for entry in store.query_snapshot().live.values()}
 
 class BlockingEngine:
     """Engine stub whose answers gate on an event (plane tests)."""

@@ -30,6 +30,7 @@ import json
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -126,6 +127,10 @@ class CarriedFoldMachine(RuleBasedStateMachine):
         skipped = {segment["segment"] for segment in fold.skipped}
         assert skipped <= self.damaged
         unread = {key for name in skipped for key in live[name]["keys"]}
+        # The sealed side holds exactly the segments that read clean.
+        assert engine.cache.digests == {
+            entry["sha256"] for name, entry in live.items()
+            if name not in skipped}
         assert canonical(fold.block) == offline(
             row for key, row in self.model.items() if key not in unread)
         assert fold.watermark["n_records"] == len(self.model)
@@ -236,3 +241,30 @@ def test_orphan_adoption_filters_a_folded_tail(tmp_path):
     assert canonical(fold.block) == offline(POOL[:7])
     assert fold.watermark["n_segments"] == 1
     assert fold.watermark["n_tail"] == 4
+
+
+def test_an_orphan_covered_by_an_adopted_one_is_superseded(tmp_path):
+    """Two seals of one tail crash before their commit lines, leaving
+    two orphan files of the same rows.  Scrub adopts the first; the
+    second's rows are then live, so it is superseded, not adopted as
+    a second owner."""
+    io = CrashBeforeCommit()
+    root = tmp_path / "store"
+    store = SegmentStore(root, seal_records=100, time_bucket_s=1e9,
+                         device_bucket=4, io=io)
+    store.append_many([(row, None) for row in POOL[:3]])
+    (partition,) = store.query_snapshot().tails
+    for _ in range(2):
+        io.armed = True
+        with pytest.raises(RuntimeError):
+            store.seal(partition)
+    first, second = sorted(path.name
+                           for path in store.segments_dir.glob("*.seg"))
+    report = store.scrub(repair=True)
+    assert [finding["segment"] for finding in report.adopted] == [first]
+    assert report.superseded == [second]
+    assert report.ok
+    for view in (store, SegmentStore(root)):
+        assert (view.n_segments, view.n_tail_records) == (1, 0)
+        assert len(set(view)) == 3
+        assert canonical(view.fold_analysis().block) == offline(POOL[:3])
