@@ -569,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'repro scrub')")
     serve.add_argument("--seal-records", type=_positive_int,
                        default=512,
-                       help="records per partition tail before it "
-                            "seals into a segment (default 512)")
+                       help="records the store's one unsealed tail "
+                            "holds before it seals (default 512)")
     serve.add_argument("--disk-chaos", type=float, default=0.0,
                        metavar="RATE",
                        help="inject disk faults (torn writes, bit "

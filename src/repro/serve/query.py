@@ -12,24 +12,25 @@ requests over it *live*, with three guarantees:
   per-device evidence keeps the distinct-device counters exact while
   one device's records spread across many segments.
 * **Snapshot consistency** — a fold runs over
-  :meth:`~repro.store.SegmentStore.query_snapshot` (taken under the
-  store's mutation guard), so it never observes a half-applied seal
-  even though the ingest worker keeps appending underneath it.
+  :meth:`~repro.store.SegmentStore.query_snapshot` (taken under a
+  mutex writers hold only to publish, never across an fsync), so it
+  never observes a half-applied seal even though the ingest worker
+  keeps appending underneath it.
 * **Incrementality** — the engine keeps one
   :class:`~repro.store.store.FoldState` for its lifetime: a running
   fold of the sealed segments it has decoded (by committed sha256)
-  and a running fold of the tail rows it has reduced, with a mark per
-  partition.  An answer decodes only segments it has not seen,
-  reduces only rows appended since the previous answer, and returns
-  the two folds merged, so it costs the new rows — not the tail, not
-  the segment count.  The sealed side is rebuilt (by reading the
-  surviving segments again, with accounting) when a folded digest
-  leaves the live set — scrub quarantined the segment, or a re-seal
-  superseded it; the tail side when a mark no longer holds — its
-  partition sealed or was filtered by scrub.  A mark is the tail list
-  itself, checked by *identity*, not by length: a tail that sealed
-  and regrew past its old length between two answers is another list
-  holding other rows.
+  and a running fold of the tail rows it has reduced, with a mark on
+  the store's one tail.  An answer decodes only segments it has not
+  seen, reduces only rows appended since the previous answer, and
+  returns the two folds merged, so it costs the new rows — not the
+  tail, not the segment count.  The sealed side is rebuilt (by
+  reading the surviving segments again, with accounting) when a
+  folded digest leaves the live set — scrub quarantined the segment,
+  or a re-seal superseded it; the tail side when the mark no longer
+  holds — the tail sealed or was filtered by scrub.  The mark is
+  the tail list itself, checked by *identity*, not by length: a tail
+  that sealed and regrew past its old length between two answers is
+  another list holding other rows.
 
 The :class:`QueryPlane` puts a bounded work queue and a single worker
 thread in front of the engine so query load degrades by *shedding

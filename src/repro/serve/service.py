@@ -104,7 +104,7 @@ class ServeConfig:
     #: Root of the durable segment store (``repro.store``); ``None``
     #: keeps records in server memory (the legacy mode).
     store_dir: str | None = None
-    #: Records per partition tail before it seals into a segment.
+    #: Rows the store's one unsealed tail holds before it seals.
     store_seal_records: int = 512
     #: Disk-fault injection rate for the store's I/O (0 disables; see
     #: :class:`repro.chaos.DiskChaosConfig.uniform`).

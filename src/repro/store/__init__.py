@@ -1,11 +1,11 @@
-"""``repro.store`` — the durable partitioned segment store.
+"""``repro.store`` — the durable segment store.
 
-Ingested failure records are journaled (WAL), batched into
-time/device-partitioned unsealed tails, and sealed into checksummed
-columnar segments committed atomically under an append-only manifest
-journal.  Queries fold streaming analysis partials over the sealed
-segments plus the tail; damaged segments are skipped with accounting
-and ``repro scrub`` classifies, quarantines, and repairs them.  See
+Ingested failure records are journaled (WAL) into one unsealed tail,
+sealed every ``seal_records`` rows into a checksummed columnar segment
+committed atomically under an append-only manifest journal.  Queries
+fold streaming analysis partials over the sealed segments plus the
+tail; damaged segments are skipped with accounting and ``repro
+scrub`` classifies, quarantines, and repairs them.  See
 ``docs/architecture.md`` ("Durable storage") for the full contract.
 """
 

@@ -1,7 +1,7 @@
 """Sealed segment encoding: checksummed typed-array failure columns.
 
-One segment file holds one batch of failure records from a single
-``(time bucket, device bucket)`` partition, laid out column-first with
+One segment file holds one sealed tail of failure records, in append
+order, laid out column-first with
 the :mod:`repro.analysis.columnar` discipline: numeric fields as
 little-endian typed arrays, string fields as integer codes over a
 sorted category table.  The container is self-verifying::
@@ -74,8 +74,10 @@ def _encode_nullable(values: list) -> tuple[np.ndarray, list]:
     return codes, present
 
 
-def encode_segment(rows: list[dict], partition: tuple[int, int]) -> bytes:
-    """Serialize failure-record dicts into one verifiable segment blob."""
+def encode_segment(rows: list[dict],
+                   partition: tuple[int, int] | None = None) -> bytes:
+    """Serialize failure-record dicts into one verifiable segment blob
+    (a ``partition``, which no reader uses, goes into the header)."""
     arrays: list[tuple[str, np.ndarray]] = []
     categories: dict[str, list] = {}
     n = len(rows)
@@ -121,10 +123,11 @@ def encode_segment(rows: list[dict], partition: tuple[int, int]) -> bytes:
     header = {
         "version": SEGMENT_VERSION,
         "n_records": n,
-        "partition": list(partition),
         "categories": categories,
         "columns": layout,
     }
+    if partition is not None:
+        header["partition"] = list(partition)
     body = (json.dumps(header, sort_keys=True).encode("utf-8")
             + _SEPARATOR + b"".join(blobs))
     digest = hashlib.sha256(body).hexdigest()

@@ -1,4 +1,4 @@
-"""The durable partitioned segment store and its scrub/repair pass.
+"""The durable segment store and its scrub/repair pass.
 
 ``SegmentStore`` is the crash-safe home of ingested failure records:
 
@@ -7,11 +7,12 @@
   a SIGKILL at any instant loses nothing the store accepted.  Appends
   are group commits (:meth:`SegmentStore.append_many`): a batch's WAL
   lines share one write and one fsync;
-* **sealing is atomic** — once a partition's unsealed tail reaches
-  ``seal_records`` entries it is encoded into a checksummed columnar
+* **sealing is by volume, and atomic** — the store keeps one unsealed
+  tail in append order; once it reaches ``seal_records`` rows, whatever
+  their devices or times, it is encoded into a checksummed columnar
   segment (:mod:`repro.store.segment`), written temp + fsync + rename,
   and *then* committed to the journal with its digest and record
-  identities.  The tail is only cleared after the commit line is
+  identities.  The tail is only replaced after the commit line is
   durable; any fault before that leaves the records in the tail (and
   in the WAL), never half-owned;
 * **queries fold, never crash** — :meth:`SegmentStore.fold_snapshot`
@@ -36,10 +37,14 @@
 The store is single-writer (the serve ingest worker); scrubbing a
 store that another *process* is actively writing is not supported.
 Within one process, concurrent readers are supported through
-:meth:`SegmentStore.query_snapshot`: mutations and snapshots
-serialize on an internal mutex, so a reader on another thread (the
-serve query plane) folds over a frozen, consistent view while appends
-continue.
+:meth:`SegmentStore.query_snapshot`.  A writer lock serializes appends,
+seals and scrub; the mutex a snapshot takes is held by an append or a
+seal only to publish what its disk write made durable, so a reader on
+another thread (the serve query plane) never waits on a writer's fsync
+and folds over a frozen, consistent view while appends continue.
+Stores of the partitioned layout (one tail per hour and device range,
+``seg-t<t>-d<d>-<seq>.seg``) open unchanged; their partitions are
+ignored.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ import errno as errno_module
 import hashlib
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from operator import is_, ne
+from itertools import islice
 from pathlib import Path
 
 from repro.analysis.columnar import SegmentPartial, _Fold
@@ -78,6 +83,14 @@ _CRC_BYTES = 16
 #: reducing it, so transient memory stays bounded however large the
 #: store; a single larger segment is a batch of its own.
 FOLD_CHUNK_ROWS = 65_536
+
+#: The partitioned layout's bucket sizes, read only by
+#: :meth:`SegmentStore.partition_of`.
+_PARTITION_TIME_S = 3600.0
+_PARTITION_DEVICES = 1024
+
+#: The seq of a segment (or temp) file name, either layout's.
+_SEGMENT_SEQ = re.compile(r"seg-(?:t-?\d+-d\d+-)?(\d+)\.seg")
 
 
 class StoreError(RuntimeError):
@@ -172,9 +185,9 @@ class StoreSnapshot:
 
     Sealed segments are immutable once committed, so the snapshot only
     copies *references*: the live commit-entry map, the store's own
-    tail lists, and the owned identity count.  A tail list is shared,
-    not copied — the store only ever appends to one (see
-    ``SegmentStore._tails``), so the list plus the length it had under
+    tail list, and the owned identity count.  The tail list is shared,
+    not copied — the store only ever appends to it (see
+    ``SegmentStore._tail``), so the list plus the length it had under
     the mutex *is* its state at the snapshot instant.  A reader
     folding over the snapshot sees exactly the store as of that
     instant no matter how far ingest has advanced since.
@@ -182,20 +195,24 @@ class StoreSnapshot:
 
     #: Segment name -> journal commit entry (immutable once written).
     live: dict
-    #: Partition -> the store's own append-only list of ``(key, data)``
-    #: tail rows.  Shared: read no further than ``tail_lengths`` says.
-    tails: dict
-    #: Rows each tail held at the snapshot instant, in ``tails`` order.
-    tail_lengths: list
+    #: The store's own append-only list of ``(key, data)`` tail rows.
+    #: Shared: read no further than ``n_tail``.
+    tail: list
+    #: Rows the tail held at the snapshot instant.
+    n_tail: int
     #: Identities the store owned at snapshot time (the watermark).
     n_records: int
 
+    @property
+    def tails(self) -> tuple:
+        """The unsealed tails, zero or one of them: the count the
+        layer replay in ``benchmarks/e2e/bench_layers.py`` divides a
+        drain's wall by, and its only reader."""
+        return (self.tail,) if self.n_tail else ()
+
     def tail_rows(self) -> list[dict]:
-        """Tail records, partition-major, append order within."""
-        return [data
-                for partition, n in sorted(zip(self.tails,
-                                               self.tail_lengths))
-                for _key, data in islice(self.tails[partition], n)]
+        """Tail records, in append order."""
+        return [data for _key, data in islice(self.tail, self.n_tail)]
 
 
 class PartialCache:
@@ -235,26 +252,26 @@ class FoldState:
     Two running folds.  ``sealed`` holds exactly the segments whose
     digests ``cache`` lists, and is refolded from the surviving
     segments when one of them leaves the live set (a running fold
-    cannot subtract).  ``tail`` holds the first ``done[i]`` rows of
-    tail list ``tails[i]``, and is rebuilt from the snapshot when
-    :func:`_tail_delta` finds one of those lists gone.  A segment that
+    cannot subtract).  ``tail`` holds the first ``done`` rows of the
+    tail list ``marked``, and is rebuilt from the snapshot when
+    :func:`_tail_delta` finds that list replaced.  A segment that
     fails verification never enters the state, so it is retried and
     reported on every fold.
 
     Nothing here refers to the store by name or position — sealed
-    content is keyed by digest, tails by object identity — so a state
-    that outlives what it folded (scrub, a swapped store) rebuilds
-    instead of answering wrongly.  One thread owns a state.
+    content is keyed by digest, the tail by object identity — so a
+    state that outlives what it folded (scrub, a swapped store)
+    rebuilds instead of answering wrongly.  One thread owns a state.
     """
 
     def __init__(self) -> None:
         self.cache = PartialCache()
         self.sealed = _Fold()
         self.tail = _Fold()
-        #: The tail lists folded so far, in snapshot order, and how
-        #: many rows of each: the marks.
-        self.tails: list = []
-        self.done: list = []
+        #: The tail list folded so far (``None`` before the first
+        #: fold) and how many of its rows: the mark.
+        self.marked: list | None = None
+        self.done = 0
 
 
 def _chunks(names: list[str], live: dict):
@@ -276,32 +293,22 @@ def _chunks(names: list[str], live: dict):
 def _tail_delta(snapshot: StoreSnapshot,
                 state: FoldState) -> list[dict] | None:
     """The tail rows appended since ``state`` last folded, moving its
-    marks past them — or ``None``, state untouched, if a mark no
+    mark past them — or ``None``, state untouched, if the mark no
     longer holds.
 
-    A mark is the tail list *itself* and the rows of it folded; it
-    holds while the snapshot still has that very list at that
-    position.  Length is no guard — a tail that sealed and regrew past
-    its old length between two folds holds other rows — and identity
-    is one: a store only ever appends to a tail list, and a seal or a
-    scrub that takes rows out drops the list or puts a new one in its
-    place (see ``SegmentStore._tails``), so the same list has the same
-    prefix.  Snapshots list tails in the store's insertion order, so a
-    dropped one shifts or shortens the sequence and the position-wise
-    comparison — at C speed, this is the one pass an answer makes over
-    every partition — sees it.
+    The mark is the tail list *itself* and the rows of it folded; it
+    holds while the snapshot still has that very list.  Length is no
+    guard — a tail that sealed and regrew past its old length between
+    two folds holds other rows — and identity is one: the store only
+    ever appends to its tail list, and a seal or a scrub that takes
+    rows out puts a new list in its place (see ``SegmentStore._tail``),
+    so the same list has the same prefix.
     """
-    lists = list(snapshot.tails.values())
-    lengths = snapshot.tail_lengths
-    if len(lists) < len(state.tails) or not all(
-            map(is_, lists, state.tails)):
+    if state.marked is not None and state.marked is not snapshot.tail:
         return None
-    done = state.done + [0] * (len(lists) - len(state.done))
-    fresh = [data
-             for at in compress(range(len(lists)),
-                                map(ne, lengths, done))
-             for _key, data in lists[at][done[at]:lengths[at]]]
-    state.tails, state.done = lists, lengths
+    fresh = [data for _key, data
+             in islice(snapshot.tail, state.done, snapshot.n_tail)]
+    state.marked, state.done = snapshot.tail, snapshot.n_tail
     return fresh
 
 
@@ -404,29 +411,23 @@ class ScrubReport:
 
 
 class SegmentStore:
-    """One durable, partitioned, append-only failure-record store."""
+    """One durable, append-only failure-record store."""
 
     def __init__(self, root: str | Path, *, seal_records: int = 512,
-                 time_bucket_s: float = 3600.0,
-                 device_bucket: int = 1024,
                  wal: bool = True,
                  io: DiskIO | None = None) -> None:
         if seal_records < 1:
             raise StoreError("seal_records must be >= 1")
-        if time_bucket_s <= 0 or device_bucket < 1:
-            raise StoreError("partition bounds must be positive")
         self.root = Path(root)
         self.io = io if io is not None else DiskIO()
         self.seal_records = seal_records
-        self.time_bucket_s = float(time_bucket_s)
-        self.device_bucket = int(device_bucket)
         self.wal = wal
-        #: Unsealed records per partition, append order preserved.
-        #: A tail list is only ever appended to, or dropped / replaced
-        #: whole by a new list (seal, orphan adoption): snapshots
-        #: share the lists and :class:`FoldState` marks them by
-        #: identity on the strength of that.
-        self._tails: dict[tuple[int, int], list[tuple[str, dict]]] = {}
+        #: Unsealed records, ``(key, data)`` in append order.  The list
+        #: is only ever appended to, or replaced whole by a new list
+        #: (seal, orphan adoption) — never cleared in place: snapshots
+        #: share it and :class:`FoldState` marks it by identity on the
+        #: strength of that.
+        self._tail: list[tuple[str, dict]] = []
         #: Live commit entries by segment file name.
         self._live: dict[str, dict] = {}
         #: Every identity the store owns (sealed or tail).
@@ -435,9 +436,13 @@ class SegmentStore:
         #: Journal damage observed while loading (scrub classifies it).
         self.journal_damage: list[dict] = []
         self._journal_good_bytes = 0
-        #: Serializes mutations against :meth:`query_snapshot` readers.
-        #: Reentrant because ``append`` seals under the same guard.
-        self._mutex = threading.RLock()
+        #: Serializes the mutations: appends, seals and scrub.
+        #: Reentrant, so a seal can run inside an append.
+        self._writer = threading.RLock()
+        #: Guards the in-memory state :meth:`query_snapshot` copies.
+        #: An append or a seal holds it only to publish what its disk
+        #: write made durable, never across the write itself.
+        self._mutex = threading.Lock()
         self._load_journal()
 
     # -- paths ---------------------------------------------------------------
@@ -461,8 +466,6 @@ class SegmentStore:
         return {
             "root": str(self.root),
             "seal_records": self.seal_records,
-            "time_bucket_s": self.time_bucket_s,
-            "device_bucket": self.device_bucket,
             "wal": self.wal,
         }
 
@@ -472,8 +475,6 @@ class SegmentStore:
         return cls(
             description["root"],
             seal_records=int(description.get("seal_records", 512)),
-            time_bucket_s=float(description.get("time_bucket_s", 3600.0)),
-            device_bucket=int(description.get("device_bucket", 1024)),
             wal=bool(description.get("wal", True)),
             io=io,
         )
@@ -488,7 +489,7 @@ class SegmentStore:
 
     @property
     def n_tail_records(self) -> int:
-        return sum(len(tail) for tail in self._tails.values())
+        return len(self._tail)
 
     def __contains__(self, key: str) -> bool:
         """Whether the store owns record identity ``key`` — the ingest
@@ -501,7 +502,7 @@ class SegmentStore:
         return iter(self._known)
 
     def tail_rows(self) -> list[dict]:
-        """Unsealed records, partition-major, append order within."""
+        """Unsealed records, in append order."""
         return self.query_snapshot().tail_rows()
 
     def summary(self) -> dict[str, int]:
@@ -553,7 +554,7 @@ class SegmentStore:
                 continue
             op = entry.get("op")
             if op == "wal":
-                wal_rows[entry["key"]] = entry
+                wal_rows[entry["key"]] = entry["data"]
             elif op == "commit":
                 self._live[entry["segment"]] = entry
                 quarantined.discard(entry["segment"])
@@ -565,27 +566,42 @@ class SegmentStore:
         for entry in self._live.values():
             covered.update(entry["keys"])
         # WAL rows no live segment covers go back to the unsealed
-        # tail — this is both normal tail restoration after a clean
-        # restart and record recovery after a segment quarantine.
-        for key, entry in wal_rows.items():
-            if key in covered:
-                continue
-            partition = tuple(entry["partition"])
-            self._tails.setdefault(partition, []).append(
-                (key, entry["data"])
-            )
-        self._known = covered | {
-            key for key in wal_rows if key not in covered
-        }
+        # tail, in journal order — this is both normal tail
+        # restoration after a clean restart and record recovery after
+        # a segment quarantine.
+        self._tail = [(key, data) for key, data in wal_rows.items()
+                      if key not in covered]
+        self._known = covered.union(key for key, _data in self._tail)
         # Tail keys without WAL (wal=False stores) cannot be restored;
         # _known covers what the journal proves.
+        self._seq = max(self._seq, self._last_file_seq() + 1)
+
+    def _last_file_seq(self) -> int:
+        """The highest seq of any file in ``segments/`` or
+        ``quarantine/`` (-1 if none): a seal that crashed before its
+        commit line used a seq no journal line records."""
+        seqs = [-1]
+        for directory in (self.segments_dir, self.quarantine_dir):
+            try:
+                names = os.listdir(directory)
+            except OSError:
+                continue
+            for name in names:
+                match = _SEGMENT_SEQ.match(name)
+                if match:
+                    seqs.append(int(match.group(1)))
+        return max(seqs)
 
     # -- appends -------------------------------------------------------------
 
     def partition_of(self, data: dict) -> tuple[int, int]:
+        """``data``'s ``(hour, device range)`` bucket in the
+        partitioned layout.  The store no longer reads it; the layer
+        replay in ``benchmarks/e2e/bench_layers.py`` is its only
+        caller."""
         return (
-            int(float(data["start_time"]) // self.time_bucket_s),
-            int(data["device_id"]) // self.device_bucket,
+            int(float(data["start_time"]) // _PARTITION_TIME_S),
+            int(data["device_id"]) // _PARTITION_DEVICES,
         )
 
     def append(self, data: dict, key: str | None = None) -> str:
@@ -600,76 +616,69 @@ class SegmentStore:
         appears earlier in the batch — is a no-op (the retry path
         after a mid-commit fault).  The new records' WAL lines go down
         in **one** write and one fsync, and only then do the records
-        join their tails, so an accepted record survives a SIGKILL at
-        any later instant and a fault in the write leaves none of them
-        owned.  The commit is split only where a tail reaches
+        join the tail, so an accepted record survives a SIGKILL at any
+        later instant and a fault in the write leaves none of them
+        owned.  The commit is split only where the tail reaches
         ``seal_records``: that record's seal (and its ``commit`` line)
         lands before the rest of the batch is written, which keeps the
         journal byte-identical to appending one record at a time.
         """
-        with self._mutex:
+        with self._writer:
             keys: list[str] = []
-            pending: list[tuple[str, tuple[int, int], dict]] = []
+            pending: list[tuple[str, dict]] = []
             batch_keys: set[str] = set()
-            sizes: dict[tuple[int, int], int] = {}
+            size = len(self._tail)
             for data, key in items:
                 key = key if key is not None else record_identity(data)
                 keys.append(key)
                 if key in self._known or key in batch_keys:
                     continue
-                partition = self.partition_of(data)
-                pending.append((key, partition, data))
+                pending.append((key, data))
                 batch_keys.add(key)
-                size = sizes[partition] = 1 + sizes.get(
-                    partition, len(self._tails.get(partition, ())))
+                size += 1
                 if size >= self.seal_records:
                     self._commit(pending)
-                    pending, sizes = [], {}
+                    pending, size = [], len(self._tail)
             self._commit(pending)
             return keys
 
-    def _commit(self, rows: list) -> None:
-        """WAL-write ``(key, partition, data)`` rows in one fsynced
-        append, then own them."""
+    def _commit(self, rows: list[tuple[str, dict]]) -> None:
+        """WAL-write ``(key, data)`` rows in one fsynced append, then
+        own them; seal the tail if that filled it."""
         if not rows:
             return
         registry = get_registry()
         if self.wal:
             self.io.append_lines(self.journal_path, [
-                _seal_entry({
-                    "op": "wal",
-                    "key": key,
-                    "partition": list(partition),
-                    "data": data,
-                })
-                for key, partition, data in rows
+                _seal_entry({"op": "wal", "key": key, "data": data})
+                for key, data in rows
             ])
             registry.inc("store_wal_fsyncs_total")
         registry.inc("store_records_appended_total", len(rows))
-        for key, partition, data in rows:
-            tail = self._tails.setdefault(partition, [])
-            tail.append((key, data))
-            self._known.add(key)
-            if len(tail) >= self.seal_records:
-                self.seal(partition)
+        with self._mutex:
+            self._tail.extend(rows)
+            self._known.update(key for key, _data in rows)
+        if len(self._tail) >= self.seal_records:
+            self._seal()
 
-    def seal(self, partition: tuple[int, int]) -> str | None:
-        """Seal one partition's tail into a committed segment.
+    def _seal(self) -> str | None:
+        """Seal the whole tail, in append order, into one committed
+        segment.
 
         Returns the new segment name, or ``None`` when the tail was
         empty or the filesystem refused the write (``OSError`` —
         ENOSPC and friends — is absorbed: the tail is retained, the
         failure counted, and a later seal retries).  Any other fault
         (e.g. a simulated crash) propagates with the tail intact.
+        Encoding and both writes run outside the mutex, so readers
+        see the tail until the segment's commit line is durable.
         """
-        with self._mutex:
-            tail = self._tails.get(partition)
+        with self._writer:
+            tail = self._tail
             if not tail:
                 return None
             registry = get_registry()
-            rows = [data for _key, data in tail]
-            keys = [key for key, _data in tail]
-            blob = encode_segment(rows, partition)
+            blob = encode_segment([data for _key, data in tail])
             digest = blob.split(b"\n", 1)[0].split()[-1].decode("ascii")
             # The seq is consumed per *attempt*, not per commit: a
             # retry after a failed write or a torn commit append must
@@ -677,11 +686,11 @@ class SegmentStore:
             # — attempt already wrote, or the overwrite would erase
             # the evidence scrub and reconciliation classify.  The
             # abandoned file stays behind as an orphan that scrub
-            # adopts or supersedes.
+            # adopts or supersedes (and that a reopened store numbers
+            # past, see :meth:`_last_file_seq`).
             seq = self._seq
             self._seq += 1
-            name = (f"seg-t{partition[0]}-d{partition[1]}"
-                    f"-{seq:06d}.seg")
+            name = f"seg-{seq:06d}.seg"
             try:
                 self.io.write_atomic(self.segments_dir / name, blob)
             except OSError as exc:
@@ -695,43 +704,40 @@ class SegmentStore:
                 "segment": name,
                 "seq": seq,
                 "sha256": digest,
-                "n_records": len(rows),
-                "partition": list(partition),
-                "keys": keys,
+                "n_records": len(tail),
+                "keys": [key for key, _data in tail],
             }
             self.io.append_line(self.journal_path, _seal_entry(entry))
             # Only now — digest durable in the journal — does the
             # store stop owning these rows in memory.
-            self._live[name] = entry
-            del self._tails[partition]
+            with self._mutex:
+                self._live[name] = entry
+                self._tail = []
             registry.inc("store_segments_sealed_total")
-            registry.inc("store_records_sealed_total", len(rows))
+            registry.inc("store_records_sealed_total", len(tail))
             registry.inc("store_bytes_written_total", len(blob))
             return name
 
     def flush(self) -> list[str]:
-        """Seal every non-empty tail (drain path); returns new names."""
-        with self._mutex:
-            sealed = []
-            for partition in sorted(self._tails):
-                name = self.seal(partition)
-                if name is not None:
-                    sealed.append(name)
-            return sealed
+        """Seal whatever the tail holds (the drain path); returns the
+        new segment's name in a list, empty if nothing sealed."""
+        name = self._seal()
+        return [] if name is None else [name]
 
     def query_snapshot(self) -> StoreSnapshot:
         """A consistent view for a reader on another thread.
 
-        Taken under the mutation guard, so a fold never observes a
-        half-applied seal (tail cleared but segment not yet live) no
-        matter how ingest interleaves.  Cheap: reference copies only,
-        and the tail lists are shared with their lengths, not copied.
+        Taken under the mutex, which a writer holds only to publish,
+        so a fold never observes a half-applied seal (tail replaced
+        but segment not yet live) and never waits on a writer's disk
+        I/O.  Cheap: reference copies only, and the tail list is
+        shared with its length, not copied.
         """
         with self._mutex:
             return StoreSnapshot(
                 live=dict(self._live),
-                tails=dict(self._tails),
-                tail_lengths=list(map(len, self._tails.values())),
+                tail=self._tail,
+                n_tail=len(self._tail),
                 n_records=len(self._known),
             )
 
@@ -847,7 +853,7 @@ class SegmentStore:
         )
         fresh = _tail_delta(snapshot, state)
         if fresh is None:
-            state.tail, state.tails, state.done = _Fold(), [], []
+            state.tail, state.marked, state.done = _Fold(), None, 0
             fresh = _tail_delta(snapshot, state)
             rebuilt.append("tail")
         if fresh:
@@ -901,9 +907,10 @@ class SegmentStore:
         unsealed tail, valid orphan files are re-committed, leftover
         temp files are deleted, and a torn journal tail is truncated.
         With ``repair=False`` the same findings are reported but the
-        store is left untouched (read-only audit).
+        store is left untouched (read-only audit).  Scrub holds the
+        writer lock and the mutex throughout: readers wait for it.
         """
-        with self._mutex:
+        with self._writer, self._mutex:
             return self._scrub(repair)
 
     def _scrub(self, repair: bool) -> ScrubReport:
@@ -1024,14 +1031,10 @@ class SegmentStore:
             self.io.append_line(self.journal_path,
                                 _seal_entry(quarantine_entry))
             self._live.pop(name, None)
-            # WAL-covered records return to the unsealed tail; a later
-            # flush reseals them into a fresh segment.
-            for key in recoverable:
-                wal = wal_rows[key]
-                partition = tuple(wal["partition"])
-                self._tails.setdefault(partition, []).append(
-                    (key, wal["data"])
-                )
+            # WAL-covered records return to the unsealed tail; the
+            # next seal takes them into a fresh segment.
+            self._tail.extend((key, wal_rows[key]["data"])
+                              for key in recoverable)
             for key in unrecoverable:
                 self._known.discard(key)
             recovered.extend(recoverable)
@@ -1057,8 +1060,7 @@ class SegmentStore:
         # later orphan sees the keys an earlier one's adoption or
         # recovery moved (without repair the store, and so the sets,
         # never change).
-        tail_keys = {key for tail in self._tails.values()
-                     for key, _data in tail}
+        tail_keys = {key for key, _data in self._tail}
         live_keys = {key for live in self._live.values()
                      for key in live["keys"]}
         for path in sorted(self.segments_dir.glob("seg-*.seg")):
@@ -1066,7 +1068,7 @@ class SegmentStore:
                 continue
             blob = path.read_bytes()
             try:
-                rows, header = decode_segment(blob)
+                rows, _header = decode_segment(blob)
             except SegmentCorruptError:
                 # A corrupt orphan proves nothing was lost: its rows
                 # were never committed, so they are still in the tail
@@ -1103,16 +1105,9 @@ class SegmentStore:
                     for key in keys:
                         if key in live_keys or key in tail_keys:
                             continue
-                        if key in wal_rows:
-                            wal = wal_rows[key]
-                            partition = tuple(wal["partition"])
-                            row = wal["data"]
-                        else:
-                            row = by_key[key]
-                            partition = self.partition_of(row)
-                        self._tails.setdefault(partition, []).append(
-                            (key, row)
-                        )
+                        row = (wal_rows[key]["data"] if key in wal_rows
+                               else by_key[key])
+                        self._tail.append((key, row))
                         self._known.add(key)
                         tail_keys.add(key)
                     self.quarantine_dir.mkdir(parents=True,
@@ -1135,9 +1130,6 @@ class SegmentStore:
                     "seq": self._seq,
                     "sha256": segment_digest(blob),
                     "n_records": len(rows),
-                    "partition": list(header.get(
-                        "partition", self.partition_of(rows[0])
-                    )),
                     "keys": keys,
                 }
                 self.io.append_line(self.journal_path,
@@ -1146,13 +1138,8 @@ class SegmentStore:
                 self._live[path.name] = entry
                 self._known.update(keys)
                 keyset = set(keys)
-                for partition in list(self._tails):
-                    kept = [(k, d) for k, d in self._tails[partition]
-                            if k not in keyset]
-                    if kept:
-                        self._tails[partition] = kept
-                    else:
-                        del self._tails[partition]
+                self._tail = [(k, d) for k, d in self._tail
+                              if k not in keyset]
                 live_keys.update(keyset)
                 tail_keys -= keyset
             adopted.append({

@@ -174,8 +174,7 @@ class TestScrub:
         from repro.serve.harness import synthetic_records
         from repro.store import SegmentStore
 
-        store = SegmentStore(tmp_path / "store", seal_records=10,
-                             device_bucket=4, time_bucket_s=240.0)
+        store = SegmentStore(tmp_path / "store", seal_records=10)
         for record in synthetic_records(8, 5, seed=3):
             store.append(record)
         store.flush()
@@ -224,7 +223,6 @@ class TestScrub:
 
         # No WAL: a damaged segment's records are unrecoverable.
         store = SegmentStore(tmp_path / "store", seal_records=5,
-                             device_bucket=4, time_bucket_s=240.0,
                              wal=False)
         for record in synthetic_records(5, 5, seed=4):
             store.append(record)
@@ -249,13 +247,10 @@ class TestScrub:
         assert "ingest layer" not in err
         # The advice holds: the reopened store no longer owns them.
         lost = json.loads(report_path.read_text())["lost_keys"]
-        reopened = SegmentStore(store.root, seal_records=5,
-                                device_bucket=4, time_bucket_s=240.0,
-                                wal=False)
+        reopened = SegmentStore(store.root, seal_records=5, wal=False)
         assert lost and not any(key in reopened for key in lost)
         # Damage again for the strict run (first run repaired).
         store2 = SegmentStore(tmp_path / "store2", seal_records=5,
-                              device_bucket=4, time_bucket_s=240.0,
                               wal=False)
         for record in synthetic_records(5, 5, seed=6):
             store2.append(record)

@@ -24,7 +24,6 @@ ALL_FAULTS = ("torn-write", "bit-flip", "enospc", "crash-rename",
 
 def _store(tmp_path, io=None, wal=True):
     return SegmentStore(tmp_path / "store", seal_records=10,
-                        device_bucket=4, time_bucket_s=240.0,
                         io=io, wal=wal)
 
 
@@ -157,7 +156,7 @@ class TestScrubUnderChaos:
         # A fabricated fault the scrub never saw must be flagged.
         chaos.injected.append({
             "fault": "bit-flip",
-            "path": str(store.segments_dir / "seg-t0-d0-000000.seg"),
+            "path": str(store.segments_dir / "seg-000000.seg"),
             "bit": 12,
         })
         disk = reconcile_disk(chaos.injected, clean_report)
@@ -219,6 +218,47 @@ class TestScrubUnderChaos:
         final = reloaded.scrub()
         assert final.ok and not final.quarantined and not final.superseded
 
+    def test_a_reopened_store_never_reuses_a_crashed_seal_name(
+        self, tmp_path
+    ):
+        """A seal torn on disk whose commit append then crashed leaves
+        an uncommitted file that no journal line numbers.  A store
+        reopened without scrubbing must seal past it rather than
+        overwrite it, or the injected torn write would go
+        unexplained."""
+        records = [dict(r, device_id=1)
+                   for r in synthetic_records(4, 5, seed=3)]
+        direct = compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(r) for r in records
+        ]))
+        chaos = DiskChaos(DiskChaosConfig(seed=19))
+        store = _store(tmp_path, io=chaos)
+        for r in records[:5]:
+            store.append(r)
+        chaos.force_next("torn-write", "journal-torn")
+        with pytest.raises(SimulatedCrash):
+            store.flush()
+        (torn,) = store.segments_dir.glob("*.seg")
+        evidence = torn.read_bytes()
+
+        reopened = _store(tmp_path)
+        for r in records[5:]:
+            reopened.append(r)
+        assert reopened.n_segments == 2
+        assert torn.name not in reopened.query_snapshot().live
+        assert torn.read_bytes() == evidence
+        report = reopened.scrub(repair=True)
+        disk = reconcile_disk(chaos.injected, report)
+        assert disk.ok, disk.render()
+        # The reopened store's first append healed the torn commit
+        # fragment into a damaged line of its own.
+        assert disk.by_class == {"superseded": 1,
+                                 "journal-damage-detected": 1}
+        query = reopened.fold_analysis()
+        assert query.complete, query.skipped
+        assert (json.dumps(query.block, sort_keys=True)
+                == json.dumps(direct, sort_keys=True))
+
     def test_uniform_rate_soak_never_loses_acked_records(self, tmp_path):
         """Random faults at a high rate: after scrub + re-upload the
         store owns every record exactly once."""
@@ -244,8 +284,8 @@ class TestBatchJournalFaults:
     """One fault draw per group commit: a torn batch is N records."""
 
     def _batch(self, n=6, seed=4):
-        # One device, one minute: a single partition that never seals
-        # here, so the whole batch is one ``append_lines``.
+        # Fewer rows than a seal holds, so the whole batch is one
+        # ``append_lines``.
         return [(dict(r, device_id=1, start_time=float(i)), None)
                 for i, r in enumerate(synthetic_records(n, 1, seed=seed))]
 

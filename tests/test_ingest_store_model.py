@@ -41,7 +41,7 @@ from repro.dataset.records import record_identity
 from repro.serve.harness import synthetic_records
 from repro.store import SegmentStore
 
-#: 36 rows of three devices over three partitions.
+#: 36 rows of three devices.
 POOL = synthetic_records(3, 12, seed=27)
 KEYS = [record_identity(row) for row in POOL]
 ROW_OF = dict(zip(KEYS, POOL))
@@ -78,8 +78,7 @@ class IngestStoreMachine(RuleBasedStateMachine):
         shutil.rmtree(self.root, ignore_errors=True)
 
     def _store(self):
-        return SegmentStore(self.root, seal_records=4, wal=False,
-                            time_bucket_s=240.0, device_bucket=2)
+        return SegmentStore(self.root, seal_records=4, wal=False)
 
     def _send(self, batch):
         """Send ``batch`` as one group commit; the model judges it."""

@@ -20,7 +20,9 @@ from repro.analysis.columnar import (
     analysis_summary,
     compute_analysis_block,
 )
-from repro.dataset.records import record_identity
+from repro.chaos import DiskIO
+from repro.dataset.records import FailureRecord, record_identity
+from repro.dataset.store import Dataset
 from repro.monitoring.uploader import UploadBatcher
 from repro.obs import ThreadSafeRegistry, use_registry
 from repro.serve import (
@@ -39,7 +41,7 @@ from repro.serve.query import (
     STATS_FIELDS,
     TRANSITIONS_FIELDS,
 )
-from repro.store import SegmentStore
+from repro.store import FoldState, SegmentStore
 from repro.store import segment as segment_module
 from repro.store import store as store_module
 
@@ -90,13 +92,12 @@ class FakeServer:
 
 
 def tail_store(tmp_path, seal_records=4):
-    """One partition per device bucket of two, sealing at four rows."""
-    return SegmentStore(tmp_path / "store", seal_records=seal_records,
-                        time_bucket_s=1e9, device_bucket=2)
+    """A store whose one tail seals at four rows."""
+    return SegmentStore(tmp_path / "store", seal_records=seal_records)
 
 
 def rows_of(device_id, n, seed=1):
-    """``n`` distinct rows of one device (so of one partition)."""
+    """``n`` distinct rows of one device."""
     rows = mixed_records(n_devices=device_id + 1, per_device=n)
     return [dict(row, start_time=row["start_time"] + seed * 1e6)
             for row in rows if row["device_id"] == device_id]
@@ -347,8 +348,7 @@ class TestCarriedFold:
     def test_an_answer_folds_exactly_the_rows_appended(self, tmp_path):
         registry = ThreadSafeRegistry()
         records = mixed_records(n_devices=8, per_device=6)
-        store = SegmentStore(tmp_path / "store", seal_records=1000,
-                             time_bucket_s=60.0, device_bucket=3)
+        store = SegmentStore(tmp_path / "store", seal_records=1000)
         engine = QueryEngine(FakeServer(store))
         at = 0
         with use_registry(registry):
@@ -385,25 +385,24 @@ class TestCarriedFold:
     ):
         registry = ThreadSafeRegistry()
         store = tail_store(tmp_path)
-        rows = rows_of(0, 6)
-        other = rows_of(2, 3)
+        rows = rows_of(0, 3) + rows_of(2, 3)
         engine = QueryEngine(FakeServer(store))
-        store.append_many([(row, None) for row in rows[:3] + other])
+        store.append_many([(row, None) for row in rows[:3]])
         engine.fold()
         with use_registry(registry):
-            # The fourth row of the partition seals it; two more
-            # start its next tail.
+            # The fourth row, another device's, seals the tail; two
+            # more start the next one.
             store.append_many([(row, None) for row in rows[3:]])
-            assert store.n_segments == 1
+            assert (store.n_segments, store.n_tail_records) == (1, 2)
             fold = assert_exact(engine, store)
         assert fold.cache_misses == 1
         # The segment's four rows, and the tail side from scratch:
-        # the other partition's three rows and the two new ones.
-        assert fold.rows_folded == 4 + 3 + 2
+        # the two rows of the new tail.
+        assert fold.rows_folded == 4 + 2
         counters = registry.snapshot()["counters"]
         assert counters['query_fold_rebuilds_total{side="tail"}'] == 1
         assert 'query_fold_rebuilds_total{side="sealed"}' not in counters
-        assert counters["query_rows_folded_total"] == 9
+        assert counters["query_rows_folded_total"] == 6
         after = engine.fold()
         assert (after.rows_folded, after.cache_misses) == (0, 0)
 
@@ -417,8 +416,7 @@ class TestCarriedFold:
         engine = QueryEngine(FakeServer(store))
         store.append_many([(row, None) for row in rows[:3]])
         assert engine.fold().watermark["n_tail"] == 3
-        (partition,) = store.query_snapshot().tails
-        assert store.seal(partition) is not None
+        assert len(store.flush()) == 1
         store.append_many([(row, None) for row in rows[3:]])
         assert store.n_tail_records == 3  # as long as the folded tail
         fold = assert_exact(engine, store)
@@ -483,7 +481,6 @@ class TestCarriedFold:
 
         records = mixed_records(n_devices=40, per_device=10)
         store = SegmentStore(tmp_path / "store", seal_records=16,
-                             time_bucket_s=120.0, device_bucket=4,
                              wal=False)
         writing = threading.Event()
         written = threading.Event()
@@ -493,8 +490,8 @@ class TestCarriedFold:
         def writer():
             writing.wait(timeout=5.0)
             for at in range(0, len(records), 3):
-                # A writer in a tight loop keeps the store mutex to
-                # itself: let some fold finish after each batch.
+                # A writer in a tight loop can keep the interpreter
+                # to itself: let some fold finish after each batch.
                 folded.clear()
                 store.append_many(
                     [(row, None) for row in records[at:at + 3]])
@@ -540,6 +537,127 @@ class TestCarriedFold:
         assert len(prefixes) > 3
 
 
+class StalledIO(DiskIO):
+    """Blocks once, inside the armed operation — ``"wal"`` (a group
+    commit's WAL write), ``"segment"`` (a seal's segment write) or
+    ``"commit"`` (a seal's commit line) — until ``release`` is set."""
+
+    def __init__(self):
+        self.armed = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _stall(self, op):
+        if self.armed == op:
+            self.armed = None
+            self.entered.set()
+            self.release.wait(timeout=10.0)
+
+    def append_lines(self, path, lines):
+        if len(lines) > 1:
+            self._stall("wal")
+        super().append_lines(path, lines)
+
+    def write_atomic(self, path, data):
+        self._stall("segment")
+        super().write_atomic(path, data)
+
+    def append_line(self, path, line):
+        if b'"op": "commit"' in line:
+            self._stall("commit")
+        super().append_line(path, line)
+
+
+class TestReadersNeverWaitOnDisk:
+    """A writer holds the store mutex only to publish what its disk
+    write made durable.  While an append's WAL write or a seal's
+    segment write or commit line is stuck, a snapshot and a fold on
+    another thread return at once, and show the store as it was
+    before that write; once the write lands, the next snapshot shows
+    it."""
+
+    @staticmethod
+    def offline(rows):
+        return canonical(compute_analysis_block(Dataset(failures=[
+            FailureRecord.from_dict(row) for row in rows])))
+
+    @staticmethod
+    def read_within(store, timeout=1.0):
+        """A snapshot and its fold from a fresh state, taken on a
+        thread of their own; ``None`` if they did not return within
+        ``timeout`` seconds."""
+        out = {}
+
+        def read():
+            snapshot = store.query_snapshot()
+            out["fold"] = store.fold_snapshot(snapshot, FoldState())
+            out["snapshot"] = snapshot
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=timeout)
+        return None if reader.is_alive() else (out["snapshot"],
+                                               out["fold"])
+
+    def stall(self, io, op, call):
+        """Run ``call`` on a writer thread until it blocks in ``op``;
+        returns the thread."""
+        io.armed = op
+        writer = threading.Thread(target=call, daemon=True)
+        writer.start()
+        assert io.entered.wait(timeout=5.0)
+        return writer
+
+    def test_a_wal_write_in_flight_does_not_block_a_reader(
+        self, tmp_path
+    ):
+        io = StalledIO()
+        store = SegmentStore(tmp_path / "store", seal_records=100, io=io)
+        rows = mixed_records()[:6]
+        store.append_many([(row, None) for row in rows[:3]])
+        writer = self.stall(io, "wal", lambda: store.append_many(
+            [(row, None) for row in rows[3:]]))
+        try:
+            read = self.read_within(store)
+        finally:
+            io.release.set()
+            writer.join(timeout=5.0)
+        assert read is not None, "a reader waited on a WAL fsync"
+        snapshot, fold = read
+        assert (snapshot.n_records, snapshot.n_tail) == (3, 3)
+        assert canonical(fold.block) == self.offline(rows[:3])
+        assert not writer.is_alive()
+        snapshot, fold = self.read_within(store)
+        assert (snapshot.n_records, snapshot.n_tail) == (6, 6)
+        assert canonical(fold.block) == self.offline(rows)
+
+    @pytest.mark.parametrize("op", ["segment", "commit"])
+    def test_a_seal_in_flight_does_not_block_a_reader(self, tmp_path,
+                                                      op):
+        io = StalledIO()
+        store = SegmentStore(tmp_path / "store", seal_records=4, io=io)
+        rows = mixed_records()[:4]
+        store.append_many([(row, None) for row in rows[:3]])
+        # The fourth row's WAL line lands, then its seal stalls.
+        writer = self.stall(io, op, lambda: store.append(rows[3]))
+        try:
+            read = self.read_within(store)
+        finally:
+            io.release.set()
+            writer.join(timeout=5.0)
+        assert read is not None, f"a reader waited on a seal's {op}"
+        snapshot, fold = read
+        # The rows are in the tail and the segment is not live yet.
+        assert (len(snapshot.live), snapshot.n_tail) == (0, 4)
+        assert (fold.n_segments, fold.n_tail_records) == (0, 4)
+        assert canonical(fold.block) == self.offline(rows)
+        assert not writer.is_alive()
+        snapshot, fold = self.read_within(store)
+        assert (len(snapshot.live), snapshot.n_tail) == (1, 0)
+        assert (fold.n_segments, fold.n_tail_records) == (1, 0)
+        assert canonical(fold.block) == self.offline(rows)
+
+
 class TestColumnarColdFold:
     """A cold fold reads sealed segments as typed columns and reduces
     them in one batch per chunk of rows: no row dict, no per-segment
@@ -547,7 +665,7 @@ class TestColumnarColdFold:
 
     @staticmethod
     def sealed_store(tmp_path):
-        """Four full segments of four rows, over two partitions."""
+        """Four full segments of four rows, of two devices."""
         store = tail_store(tmp_path)
         store.append_many([(row, None)
                            for row in rows_of(0, 8) + rows_of(2, 8)])

@@ -24,6 +24,7 @@ from repro.store import (
     StoreError,
     decode_segment,
     encode_segment,
+    segment_digest,
 )
 from repro.store.store import _line_crc, _seal_entry, _verify_line
 
@@ -40,35 +41,36 @@ def _direct_block(records):
 
 def _store(tmp_path, **kwargs):
     kwargs.setdefault("seal_records", 10)
-    kwargs.setdefault("device_bucket", 4)
-    kwargs.setdefault("time_bucket_s", 240.0)
     return SegmentStore(tmp_path / "store", **kwargs)
 
 
 class TestSegmentCodec:
     def test_round_trip_is_identity_exact(self):
         rows = _records()
-        blob = encode_segment(rows, (0, 0))
+        blob = encode_segment(rows)
         decoded, header = decode_segment(blob)
         assert header["n_records"] == len(rows)
+        assert "partition" not in header
         assert decoded == rows
+        # The partitioned layout's call still encodes the same rows.
+        assert decode_segment(encode_segment(rows, (3, 0)))[0] == rows
         assert ([record_identity(r) for r in decoded]
                 == [record_identity(r) for r in rows])
 
     def test_none_error_code_survives(self):
         rows = _records()
         rows[0] = dict(rows[0], error_code=None)
-        decoded, _header = decode_segment(encode_segment(rows, (1, 2)))
+        decoded, _header = decode_segment(encode_segment(rows))
         assert decoded[0]["error_code"] is None
 
     def test_bit_flip_is_detected(self):
-        blob = bytearray(encode_segment(_records(), (0, 0)))
+        blob = bytearray(encode_segment(_records()))
         blob[len(blob) // 2] ^= 0x10
         with pytest.raises(SegmentCorruptError, match="digest"):
             decode_segment(bytes(blob))
 
     def test_truncation_is_detected(self):
-        blob = encode_segment(_records(), (0, 0))
+        blob = encode_segment(_records())
         with pytest.raises(SegmentCorruptError):
             decode_segment(blob[: len(blob) // 2])
 
@@ -153,7 +155,7 @@ class TestSegmentStore:
                 return super().read_bytes(path)
 
         io = AppendsOnFirstSegmentRead()
-        store = _store(tmp_path, seal_records=4, device_bucket=2, io=io)
+        store = _store(tmp_path, seal_records=4, io=io)
         for r in held:
             store.append(r)
         io.store = store
@@ -222,7 +224,7 @@ class TestSegmentStore:
         store.flush()
         # A duplicate file of a committed segment: every key covered.
         source = sorted(store.segments_dir.glob("*.seg"))[0]
-        copy = source.with_name("seg-t0-d0-999999.seg")
+        copy = source.with_name("seg-999999.seg")
         copy.write_bytes(source.read_bytes())
         report = _store(tmp_path).scrub(repair=True)
         assert copy.name in report.superseded
@@ -304,8 +306,8 @@ class TestSegmentStore:
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(StoreError):
             SegmentStore(tmp_path / "s", seal_records=0)
-        with pytest.raises(StoreError):
-            SegmentStore(tmp_path / "s", device_bucket=0)
+        with pytest.raises(TypeError):  # seals by volume, not bucket
+            SegmentStore(tmp_path / "s", device_bucket=4)
 
     def test_dataset_view_carries_skip_accounting(self, tmp_path):
         store = _store(tmp_path)
@@ -565,9 +567,11 @@ class TestGroupCommit:
         assert counters["store_records_appended_total"] == 8
 
     def test_batch_splits_only_at_a_seal_boundary(self, tmp_path):
-        """The record that fills a tail ends the write, so its commit
-        line lands where one-by-one appends would put it."""
-        records = [dict(self.RECORDS[0], device_id=1, start_time=float(i))
+        """The record that fills the tail ends the write, so its commit
+        line lands where one-by-one appends would put it — whatever
+        devices and hours the rows span."""
+        records = [dict(self.RECORDS[0], device_id=2_000 * i,
+                        start_time=7_200.0 * i)
                    for i in range(25)]
         store = _store(tmp_path, seal_records=10)
         store.append_many([(r, None) for r in records])
@@ -577,15 +581,110 @@ class TestGroupCommit:
         assert store.n_segments == 2 and store.n_tail_records == 5
 
 
+class TestPartitionedLayout:
+    """Stores written by the layout that kept one tail per ``(time
+    bucket, device bucket)`` partition — WAL and commit lines carrying
+    a ``partition``, segments named ``seg-t<t>-d<d>-<seq>.seg`` — open,
+    fold and scrub unchanged, and seal by volume from then on."""
+
+    SEAL = 8
+
+    def _write_partitioned(self, root: Path, rows: list[dict]):
+        """The journal and segments that layout wrote for ``rows``
+        (time buckets of 240 s, device buckets of four): a partition
+        sealed when its own tail reached ``SEAL``.  Returns the rows
+        no segment holds, in journal order."""
+        segments = root / "segments"
+        segments.mkdir(parents=True)
+        tails: dict[tuple, list] = {}
+        lines, seq = [], 0
+        for row in rows:
+            key = record_identity(row)
+            partition = (int(row["start_time"] // 240.0),
+                         row["device_id"] // 4)
+            lines.append(_seal_entry({"op": "wal", "key": key,
+                                      "partition": list(partition),
+                                      "data": row}))
+            tail = tails.setdefault(partition, [])
+            tail.append((key, row))
+            if len(tail) < self.SEAL:
+                continue
+            blob = encode_segment([data for _key, data in tail],
+                                  partition)
+            name = f"seg-t{partition[0]}-d{partition[1]}-{seq:06d}.seg"
+            (segments / name).write_bytes(blob)
+            lines.append(_seal_entry({
+                "op": "commit", "segment": name, "seq": seq,
+                "sha256": segment_digest(blob),
+                "n_records": len(tail), "partition": list(partition),
+                "keys": [key for key, _data in tail],
+            }))
+            seq += 1
+            del tails[partition]
+        (root / "journal.jsonl").write_bytes(
+            b"".join(line + b"\n" for line in lines))
+        sealed = set()
+        for line in lines:
+            entry = json.loads(line)
+            if entry["op"] == "commit":
+                sealed.update(entry["keys"])
+        return [row for row in rows if record_identity(row) not in sealed]
+
+    def test_reopens_folds_scrubs_and_seals_the_restored_tail_whole(
+        self, tmp_path
+    ):
+        records = _records()
+        rows, later = records[:40], records[40]
+        root = tmp_path / "store"
+        uncovered = self._write_partitioned(root, rows)
+        store = SegmentStore(root, seal_records=self.SEAL)
+        # Three partitions sealed once each; their partial tails
+        # together exceed one seal's worth.
+        assert store.n_segments == 3
+        assert store.tail_rows() == uncovered
+        assert store.n_tail_records > self.SEAL
+        assert store.fold_analysis().block == _direct_block(rows)
+        assert store.scrub(repair=False).clean
+
+        old = set(store.query_snapshot().live)
+        store.append(later)
+        (name,) = set(store.query_snapshot().live) - old
+        assert name == "seg-000003.seg"
+        assert store._live[name]["n_records"] == len(uncovered) + 1
+        assert store.n_tail_records == 0
+        reopened = SegmentStore(root, seal_records=self.SEAL)
+        assert reopened.fold_analysis().block == _direct_block(
+            rows + [later])
+        report = reopened.scrub(repair=False)
+        assert report.clean and report.segments_ok == 4
+
+    def test_a_checkpoint_naming_partition_bounds_restores(self,
+                                                            tmp_path):
+        records = _records()[:20]
+        store = _store(tmp_path)
+        server = IngestionServer()
+        server.attach_store(store)
+        for r in records:
+            server.ingest_record(dict(r))
+        snapshot = json.loads(json.dumps(server.checkpoint()))
+        snapshot["store"].update(time_bucket_s=240.0, device_bucket=4)
+        revived = IngestionServer.restore(snapshot)
+        assert revived.store.describe() == store.describe()
+        for r in records:
+            revived.ingest_record(dict(r))
+        assert revived.duplicates == len(records)
+        assert revived.store.fold_analysis().block == _direct_block(
+            records)
+
+
 class TestSealEntry:
     ENTRIES = [
-        {"op": "wal", "key": "kéy", "partition": [3, 0],
+        {"op": "wal", "key": "kéy",
          "data": {"isp": "中国移动", "error_code": None,
                   "duration_s": 1.5, "has_5g": False, "device_id": 7}},
-        {"op": "commit", "segment": "seg-t0-d0-000001.seg", "seq": 1,
-         "sha256": "ab" * 32, "n_records": 2, "partition": [0, 0],
-         "keys": ["a", "b"]},
-        {"op": "quarantine", "segment": "seg-t0-d0-000001.seg",
+        {"op": "commit", "segment": "seg-000001.seg", "seq": 1,
+         "sha256": "ab" * 32, "n_records": 2, "keys": ["a", "b"]},
+        {"op": "quarantine", "segment": "seg-000001.seg",
          "reason": "digest mismatch — torn", "keys": []},
     ]
 

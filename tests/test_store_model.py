@@ -2,8 +2,9 @@
 slice).
 
 A hypothesis state machine drives one :class:`SegmentStore` through
-appends, seals, flushes, segment damage, scrub repair, a seal that
-crashes before its commit line, and reopening — while two long-lived
+appends (which seal by volume), flushes, segment damage, scrub repair,
+a flush that crashes before its commit line, and reopening — while
+two long-lived
 :class:`QueryEngine` instances answer over it.  The *eager* engine answers
 after every rule (the invariant); the *lazy* one only when the
 ``answer`` rule fires, so any number of rules — a seal and a regrowth,
@@ -59,9 +60,9 @@ def offline(rows) -> str:
 
 
 def _pool() -> list[dict]:
-    """48 rows of four devices over three partitions of sixteen, so
-    tails reach ``seal_records`` and regrow many times; every device is
-    in every partition and a quarter of the rows are OUT_OF_SERVICE."""
+    """48 rows of four devices, so the tail reaches ``seal_records``
+    and regrows many times, every segment holding several devices;
+    a quarter of the rows are OUT_OF_SERVICE."""
     rows = synthetic_records(4, 12, seed=20)
     for index, row in enumerate(rows):
         if index % 4 == 0:
@@ -70,6 +71,7 @@ def _pool() -> list[dict]:
 
 
 POOL = _pool()
+SEAL = 4
 PICKS = st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=9)
 
 
@@ -106,15 +108,10 @@ class CarriedFoldMachine(RuleBasedStateMachine):
         shutil.rmtree(self.root, ignore_errors=True)
 
     def _open(self):
-        self.store = SegmentStore(self.root, seal_records=4,
-                                  time_bucket_s=240.0, device_bucket=4,
+        self.store = SegmentStore(self.root, seal_records=SEAL,
                                   io=self.io)
         self.eager = QueryEngine(_Server(self.store))
         self.lazy = QueryEngine(_Server(self.store))
-
-    def _partition(self, index):
-        partitions = sorted(self.store.query_snapshot().tails)
-        return partitions[index % len(partitions)]
 
     def _intact_segment(self, index):
         names = sorted(set(self.store.query_snapshot().live)
@@ -145,32 +142,44 @@ class CarriedFoldMachine(RuleBasedStateMachine):
 
     @rule(picks=PICKS)
     def append_many(self, picks):
-        """Several partitions, shared devices, duplicates within the
-        batch and of rows already owned."""
+        """Shared devices, duplicates within the batch and of rows
+        already owned.  Seals by volume: a tail below ``SEAL`` rows
+        stays below it, sealing exactly ``SEAL`` rows at a time; a
+        tail recovery left over-full seals whole at the first new
+        row."""
         rows = [dict(POOL[pick]) for pick in picks]
+        before = self.store.n_tail_records
+        live = set(self.store.query_snapshot().live)
         keys = self.store.append_many([(row, None) for row in rows])
         assert keys == [record_identity(row) for row in rows]
+        new = set(keys) - self.model.keys()
         self.model.update(zip(keys, rows))
-
-    @precondition(lambda self: self.store.n_tail_records)
-    @rule(index=st.integers(0, 63))
-    def seal(self, index):
-        assert self.store.seal(self._partition(index)) is not None
+        sealed = self.store.query_snapshot().live
+        sizes = [sealed[name]["n_records"]
+                 for name in sorted(sealed.keys() - live)]
+        if before >= SEAL and new:
+            # Only recovery overfills the tail: it sealed whole.
+            assert sizes and sizes[0] == before + 1
+            sizes = sizes[1:]
+        if before < SEAL or new:
+            assert self.store.n_tail_records < SEAL
+        assert all(size == SEAL for size in sizes)
 
     @rule()
     def flush(self):
-        self.store.flush()
+        before = self.store.n_tail_records
+        assert len(self.store.flush()) == (1 if before else 0)
         assert self.store.n_tail_records == 0
 
     @precondition(lambda self: self.store.n_tail_records)
-    @rule(index=st.integers(0, 63))
-    def seal_crashes_before_commit(self, index):
-        """Leaves an orphan segment file and the rows in their tail;
+    @rule()
+    def flush_crashes_before_commit(self):
+        """Leaves an orphan segment file and the rows in the tail;
         the next scrub adopts it, or supersedes it if they sealed
         again meanwhile."""
         self.io.armed = True
         try:
-            self.store.seal(self._partition(index))
+            self.store.flush()
         except RuntimeError:
             pass
         assert not self.io.armed
@@ -223,16 +232,12 @@ def test_orphan_adoption_filters_a_folded_tail(tmp_path):
     filters those rows out of a tail that has meanwhile grown, so it
     is still at least as long as the engine's mark."""
     io = CrashBeforeCommit()
-    store = SegmentStore(tmp_path / "store", seal_records=100,
-                         time_bucket_s=1e9, device_bucket=4, io=io)
+    store = SegmentStore(tmp_path / "store", seal_records=100, io=io)
     engine = QueryEngine(_Server(store))
     store.append_many([(row, None) for row in POOL[:3]])
-    (partition,) = store.query_snapshot().tails
     io.armed = True
-    try:
-        store.seal(partition)
-    except RuntimeError:
-        pass
+    with pytest.raises(RuntimeError):
+        store.flush()
     assert engine.fold().watermark["n_tail"] == 3
     store.append_many([(row, None) for row in POOL[3:7]])
     assert len(store.scrub(repair=True).adopted) == 1
@@ -250,14 +255,12 @@ def test_an_orphan_covered_by_an_adopted_one_is_superseded(tmp_path):
     a second owner."""
     io = CrashBeforeCommit()
     root = tmp_path / "store"
-    store = SegmentStore(root, seal_records=100, time_bucket_s=1e9,
-                         device_bucket=4, io=io)
+    store = SegmentStore(root, seal_records=100, io=io)
     store.append_many([(row, None) for row in POOL[:3]])
-    (partition,) = store.query_snapshot().tails
     for _ in range(2):
         io.armed = True
         with pytest.raises(RuntimeError):
-            store.seal(partition)
+            store.flush()
     first, second = sorted(path.name
                            for path in store.segments_dir.glob("*.seg"))
     report = store.scrub(repair=True)
