@@ -516,61 +516,93 @@ class SegmentStore:
     # -- journal loading -----------------------------------------------------
 
     def _iter_journal_lines(self):
-        """Yield ``(entry | None, reason, raw)`` per physical line.
+        """Yield ``(offset, entry | None, reason)`` per physical line,
+        where ``offset`` is the byte at which the line starts.
 
+        The journal is streamed through a buffered file, one line at a
+        time, so a walk holds one line, never the whole journal.
         Tolerant by construction: a line that is not valid JSON or
-        fails its CRC yields ``(None, reason, raw)`` and the walk
+        fails its CRC yields ``(offset, None, reason)`` and the walk
         continues.  A final line without a newline (torn append) is
         reported with reason ``"torn-tail"`` and not parsed.
         ``_journal_good_bytes`` tracks the byte offset just past the
         last intact line, for tail truncation during scrub.
         """
         try:
-            blob = self.io.read_bytes(self.journal_path)
+            with open(self.journal_path, "rb") as handle:
+                offset = 0
+                self._journal_good_bytes = 0
+                for line in handle:
+                    if not line.endswith(b"\n"):
+                        yield offset, None, "torn-tail"
+                        return
+                    start, offset = offset, offset + len(line)
+                    self._journal_good_bytes = offset
+                    yield start, *_verify_line(line[:-1])
         except FileNotFoundError:
             return
         except OSError as exc:
             raise StoreError(
                 f"cannot read journal {self.journal_path}: {exc}"
             ) from exc
-        offset = 0
-        self._journal_good_bytes = 0
-        while offset < len(blob):
-            newline = blob.find(b"\n", offset)
-            if newline < 0:
-                yield None, "torn-tail", blob[offset:]
-                return
-            raw = blob[offset:newline]
-            offset = newline + 1
-            self._journal_good_bytes = offset
-            yield *_verify_line(raw), raw
+
+    def _read_wal(self, offsets: dict[str, int],
+                  keys: list[str]) -> list[tuple[str, dict]]:
+        """``(key, data)`` for each of ``keys``, in order, read back
+        from the WAL line that starts at its byte in ``offsets`` and
+        verified again.
+
+        An offset that no longer starts that key's intact WAL line
+        raises :class:`StoreError`: the journal changed under the
+        store, and its row must not be dropped in silence.
+        """
+        rows: list[tuple[str, dict]] = []
+        if not keys:
+            return rows
+        try:
+            with open(self.journal_path, "rb") as handle:
+                for key in keys:
+                    handle.seek(offsets[key])
+                    entry, _reason = _verify_line(
+                        handle.readline().rstrip(b"\n"))
+                    if (entry is None or entry.get("op") != "wal"
+                            or entry.get("key") != key):
+                        raise StoreError(
+                            f"WAL line of {key} at journal byte "
+                            f"{offsets[key]} no longer verifies")
+                    rows.append((key, entry["data"]))
+        except OSError as exc:
+            raise StoreError(
+                f"cannot read journal {self.journal_path}: {exc}"
+            ) from exc
+        return rows
 
     def _load_journal(self) -> None:
-        wal_rows: dict[str, dict] = {}
-        quarantined: set[str] = set()
-        for entry, reason, _raw in self._iter_journal_lines():
+        # Per WAL line, where it starts, not what it holds: a repeated
+        # key keeps its first position and its latest line's offset.
+        wal_offsets: dict[str, int] = {}
+        for offset, entry, reason in self._iter_journal_lines():
             if entry is None:
                 self.journal_damage.append({"reason": reason})
                 continue
             op = entry.get("op")
             if op == "wal":
-                wal_rows[entry["key"]] = entry["data"]
+                wal_offsets[entry["key"]] = offset
             elif op == "commit":
                 self._live[entry["segment"]] = entry
-                quarantined.discard(entry["segment"])
                 self._seq = max(self._seq, int(entry.get("seq", 0)) + 1)
             elif op == "quarantine":
                 self._live.pop(entry["segment"], None)
-                quarantined.add(entry["segment"])
         covered: set[str] = set()
         for entry in self._live.values():
             covered.update(entry["keys"])
         # WAL rows no live segment covers go back to the unsealed
         # tail, in journal order — this is both normal tail
         # restoration after a clean restart and record recovery after
-        # a segment quarantine.
-        self._tail = [(key, data) for key, data in wal_rows.items()
-                      if key not in covered]
+        # a segment quarantine.  Only these lines are read back.
+        self._tail = self._read_wal(
+            wal_offsets,
+            [key for key in wal_offsets if key not in covered])
         self._known = covered.union(key for key, _data in self._tail)
         # Tail keys without WAL (wal=False stores) cannot be restored;
         # _known covers what the journal proves.
@@ -929,15 +961,20 @@ class SegmentStore:
         # current damage census, and an up-to-date truncation offset
         # (``_iter_journal_lines`` advances ``_journal_good_bytes``
         # past every complete line; only a still-torn tail fragment
-        # lies beyond it).
-        wal_rows: dict[str, dict] = {}
+        # lies beyond it).  The map holds where each WAL line starts,
+        # and recovery reads back only the rows it restores.  Every
+        # offset stays valid through the repairs below: truncation
+        # cuts only bytes past ``_journal_good_bytes``, which is past
+        # every indexed line, and quarantine and commit lines are
+        # appended after them.
+        wal_offsets: dict[str, int] = {}
         fresh_damage: list[dict] = []
-        for entry, reason, _raw in self._iter_journal_lines():
+        for offset, entry, reason in self._iter_journal_lines():
             if entry is None:
                 fresh_damage.append({"reason": reason})
                 continue
             if entry.get("op") == "wal":
-                wal_rows[entry["key"]] = entry
+                wal_offsets[entry["key"]] = offset
         torn = [d for d in fresh_damage if d["reason"] == "torn-tail"]
         report.journal_damaged_lines = len(fresh_damage) - len(torn)
         if torn:
@@ -968,7 +1005,7 @@ class SegmentStore:
                 self._read_columns(name, entry)
             except SegmentCorruptError as exc:
                 finding = self._classify_damaged(
-                    name, entry, exc.reason, wal_rows,
+                    name, entry, exc.reason, wal_offsets,
                     recovered, lost, repair,
                 )
                 report.quarantined.append(finding)
@@ -981,7 +1018,7 @@ class SegmentStore:
         # (crash between rename and commit, or the commit line was
         # itself damaged).  Re-adopt unless already covered.
         report_adopted, report_superseded = self._scan_orphans(
-            wal_rows, repair
+            wal_offsets, repair
         )
         report.adopted = report_adopted
         report.superseded = report_superseded
@@ -1008,13 +1045,14 @@ class SegmentStore:
         return report
 
     def _classify_damaged(self, name: str, entry: dict, reason: str,
-                          wal_rows: dict, recovered: list[str],
+                          wal_offsets: dict, recovered: list[str],
                           lost: list[str], repair: bool) -> dict:
         """Quarantine one damaged live segment; recover via WAL."""
         keys = list(entry["keys"])
-        recoverable = [k for k in keys if k in wal_rows]
-        unrecoverable = [k for k in keys if k not in wal_rows]
+        recoverable = [k for k in keys if k in wal_offsets]
+        unrecoverable = [k for k in keys if k not in wal_offsets]
         if repair:
+            rows = self._read_wal(wal_offsets, recoverable)
             path = self.segments_dir / name
             if path.exists():
                 self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -1033,8 +1071,7 @@ class SegmentStore:
             self._live.pop(name, None)
             # WAL-covered records return to the unsealed tail; the
             # next seal takes them into a fresh segment.
-            self._tail.extend((key, wal_rows[key]["data"])
-                              for key in recoverable)
+            self._tail.extend(rows)
             for key in unrecoverable:
                 self._known.discard(key)
             recovered.extend(recoverable)
@@ -1050,7 +1087,7 @@ class SegmentStore:
             "lost": len(unrecoverable),
         }
 
-    def _scan_orphans(self, wal_rows: dict,
+    def _scan_orphans(self, wal_offsets: dict,
                       repair: bool) -> tuple[list[dict], list[str]]:
         adopted: list[dict] = []
         superseded: list[str] = []
@@ -1101,15 +1138,14 @@ class SegmentStore:
                 # fallback), then retire the file.
                 superseded.append(path.name)
                 if repair:
+                    fresh = [k for k in dict.fromkeys(keys)
+                             if k not in live_keys and k not in tail_keys]
+                    tail_keys.update(fresh)
                     by_key = dict(zip(keys, rows))
-                    for key in keys:
-                        if key in live_keys or key in tail_keys:
-                            continue
-                        row = (wal_rows[key]["data"] if key in wal_rows
-                               else by_key[key])
-                        self._tail.append((key, row))
-                        self._known.add(key)
-                        tail_keys.add(key)
+                    by_key.update(self._read_wal(
+                        wal_offsets, [k for k in fresh if k in wal_offsets]))
+                    self._tail.extend((key, by_key[key]) for key in fresh)
+                    self._known.update(fresh)
                     self.quarantine_dir.mkdir(parents=True,
                                               exist_ok=True)
                     try:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -317,6 +319,47 @@ class TestSegmentStore:
         dataset = store.dataset()
         assert dataset.n_failures == store.n_sealed_records
         assert dataset.metadata["store"]["skipped_segments"] == []
+
+
+class TestReopenHeap:
+    """Reopen and scrub keep where each WAL line starts, not what it
+    holds, and read back only the lines whose rows the tail takes: their
+    heap peak does not grow with the records ever written."""
+
+    def test_reopen_and_scrub_peak_under_a_kilobyte_per_record(
+        self, tmp_path
+    ):
+        records = _records(100, 42)
+        root = tmp_path / "store"
+        store = SegmentStore(root, seal_records=512)
+        for at in range(0, len(records), 100):
+            store.append_many([(r, None) for r in records[at:at + 100]])
+        del store
+        # Imports and lazy set-up happen outside the measurement.
+        SegmentStore(root, seal_records=512).scrub(repair=False)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reopened = SegmentStore(root, seal_records=512)
+            retained, reopen_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = reopened.scrub(repair=False)
+            scrub_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        n = len(records)
+        assert report.clean
+        assert reopened.n_tail_records == n % 512
+        # The whole-journal load peaked at 2.6 KB per record here, and
+        # its scrub at 3.0 KB.
+        assert (reopen_peak - base) / n <= 1024
+        assert (scrub_peak - retained) / n <= 1024
+        # What the reopened store keeps: the whole-journal load
+        # retained 235 B per record of this store.
+        assert (retained - base) / n <= 260
 
 
 class TestIngestionServerStore:
@@ -781,3 +824,151 @@ class TestJournalVerdicts:
             reordered = json.dumps(dict(ordered)).encode("utf-8")
             assert _verify_line(reordered) == _rule_verdict(reordered)
             assert _verify_line(reordered)[0] is not None
+
+
+def _whole_journal_load(blob: bytes) -> dict:
+    """The reopen rule over the whole journal read at once, as stores
+    loaded before the walk was streamed: every WAL line's data held in
+    one dict (a repeated key keeps its first position and its latest
+    data), the tail being the rows no live segment covers.  A store
+    with no segment files numbers its next seal from the commits."""
+    wal, live, damage = {}, {}, []
+    seq = good = offset = 0
+    while offset < len(blob):
+        newline = blob.find(b"\n", offset)
+        if newline < 0:
+            damage.append({"reason": "torn-tail"})
+            break
+        entry, reason = _rule_verdict(blob[offset:newline])
+        offset = good = newline + 1
+        if entry is None:
+            damage.append({"reason": reason})
+            continue
+        op = entry.get("op")
+        if op == "wal":
+            wal[entry["key"]] = entry["data"]
+        elif op == "commit":
+            live[entry["segment"]] = entry
+            seq = max(seq, int(entry.get("seq", 0)) + 1)
+        elif op == "quarantine":
+            live.pop(entry["segment"], None)
+    covered = {key for entry in live.values() for key in entry["keys"]}
+    tail = [(key, data) for key, data in wal.items()
+            if key not in covered]
+    return {"wal": wal, "tail": tail, "live": live, "damage": damage,
+            "good_bytes": good, "seq": seq,
+            "known": covered.union(key for key, _data in tail)}
+
+
+_KEYS = st.sampled_from(["k0", "k1", "k2", "k3", "ké"])
+_SEGMENTS = st.sampled_from(["seg-000000.seg", "seg-000001.seg",
+                             "seg-000002.seg"])
+_WAL_LINES = st.builds(lambda key, data: _seal_entry(
+    {"op": "wal", "key": key, "data": data}), _KEYS, _JSON)
+_LINES = st.one_of(
+    # WAL lines are drawn most, so keys repeat and the tail has order.
+    _WAL_LINES, _WAL_LINES, _WAL_LINES, _WAL_LINES,
+    st.builds(lambda segment, seq, keys: _seal_entry(
+        {"op": "commit", "segment": segment, "seq": seq,
+         "sha256": "ab" * 32, "n_records": len(keys), "keys": keys}),
+        _SEGMENTS, st.integers(0, 9), st.lists(_KEYS, max_size=2)),
+    st.builds(lambda segment: _seal_entry(
+        {"op": "quarantine", "segment": segment, "reason": "digest",
+         "keys": []}), _SEGMENTS),
+    # A well-formed entry under a wrong tag, and bytes that are no JSON.
+    st.builds(lambda key: json.dumps(
+        {"crc": "0" * 16, "data": {}, "key": key, "op": "wal"}).encode(),
+        _KEYS),
+    st.binary(max_size=12).filter(lambda raw: b"\n" not in raw),
+)
+
+
+class TestStreamedReopen:
+    """Reopening from the streamed journal and its WAL offsets leaves
+    the store exactly as loading the whole journal at once did."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lines=st.lists(_LINES, max_size=20), data=st.data())
+    def test_state_matches_the_whole_journal_rule(self, lines, data):
+        damaged = []
+        for line in lines:
+            if line and data.draw(st.integers(0, 3)) == 0:
+                flipped = bytearray(line)
+                flipped[data.draw(st.integers(0, len(line) - 1))] ^= (
+                    1 << data.draw(st.integers(0, 7)))
+                line = bytes(flipped)
+            damaged.append(line)
+        blob = b"".join(line + b"\n" for line in damaged)
+        torn = data.draw(_LINES)
+        blob += torn[:data.draw(st.integers(0, len(torn)))]
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(scratch) / "store"
+            root.mkdir()
+            (root / "journal.jsonl").write_bytes(blob)
+            store = SegmentStore(root)
+            expected = _whole_journal_load(blob)
+            assert store._tail == expected["tail"]
+            assert store._known == expected["known"]
+            assert store._live == expected["live"]
+            assert store.journal_damage == expected["damage"]
+            assert store._journal_good_bytes == expected["good_bytes"]
+            assert store._seq == expected["seq"]
+
+    def test_quarantine_recovers_the_rows_the_whole_journal_holds(
+        self, tmp_path
+    ):
+        """A key whose WAL line was written twice comes back from
+        quarantine with its latest data, as the whole-journal rule
+        restores it."""
+        store = _store(tmp_path)
+        store.append_many([(r, None) for r in _records()[:25]])
+        victim = min(store._live)
+        keys = store._live[victim]["keys"]
+        store.io.append_line(store.journal_path, _seal_entry(
+            {"op": "wal", "key": keys[3], "data": {"rewritten": True}}))
+        path = store.segments_dir / victim
+        blob = bytearray(path.read_bytes())
+        blob[-5] ^= 0x40
+        path.write_bytes(bytes(blob))
+
+        reopened = _store(tmp_path)
+        expected = _whole_journal_load(reopened.journal_path.read_bytes())
+        assert reopened._tail == expected["tail"]
+        report = reopened.scrub(repair=True)
+        assert report.recovered_keys == tuple(keys) and report.ok
+        recovered = reopened._tail[len(expected["tail"]):]
+        assert recovered == [(key, expected["wal"][key]) for key in keys]
+        assert recovered[3][1] == {"rewritten": True}
+
+    def test_a_mixed_orphan_recovers_uncommitted_rows_wal_first(
+        self, tmp_path
+    ):
+        """An orphan file holding committed rows and rows the store
+        does not own is retired; its unowned rows join the tail, read
+        back from their WAL line where one exists (here, a line a torn
+        group commit made durable before the store owned it) and taken
+        from the decoded file otherwise."""
+        records = _records()
+        store = _store(tmp_path)
+        store.append_many([(r, None) for r in records[:20]])
+        wal_key, row_key = (record_identity(r) for r in records[20:22])
+        wal_data = dict(records[20], from_wal=True)
+        store.io.append_line(store.journal_path, _seal_entry(
+            {"op": "wal", "key": wal_key, "data": wal_data}))
+        blob = encode_segment(records[:3] + records[20:22])
+        orphan = store.segments_dir / "seg-999999.seg"
+        orphan.write_bytes(blob)
+
+        report = store.scrub(repair=True)
+        assert report.superseded == [orphan.name] and report.ok
+        assert (store.quarantine_dir / orphan.name).exists()
+        assert store._tail == [(wal_key, wal_data),
+                               (row_key, decode_segment(blob)[0][4])]
+        assert wal_key in store and row_key in store
+
+    def test_a_wal_offset_that_no_longer_verifies_raises(self, tmp_path):
+        store = _store(tmp_path)
+        store.append_many([(r, None) for r in _records()[:3]])
+        key = next(iter(store))
+        with pytest.raises(StoreError, match=key):
+            store._read_wal({key: 1}, [key])
