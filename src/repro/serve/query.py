@@ -17,7 +17,7 @@ requests over it *live*, with three guarantees:
   never observes a half-applied seal even though the ingest worker
   keeps appending underneath it.
 * **Incrementality** — the engine keeps one
-  :class:`~repro.store.store.FoldState` for its lifetime: a running
+  :class:`~repro.store.fold.FoldState` for its lifetime: a running
   fold of the sealed segments it has decoded (by committed sha256)
   and a running fold of the tail rows it has reduced, with a mark on
   the store's one tail.  An answer decodes only segments it has not
@@ -53,7 +53,7 @@ from repro.analysis.columnar import (
     analysis_summary,
 )
 from repro.obs import LATENCY_BUCKETS_S, get_registry
-from repro.store.store import FoldState
+from repro.store.fold import FoldState
 
 #: The queries the plane answers, in wire-code order.
 QUERY_KINDS = ("stats", "isp_bs", "transitions", "summary")

@@ -14,8 +14,6 @@ raw aggregate equality — the two engines draw from different RNG
 streams by design (see docs/scaling.md).
 """
 
-import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -42,29 +40,20 @@ def scenario(devices=120, seed=11, engine=ENGINE_BATCH, **kwargs):
     )
 
 
-def digest(dataset):
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode())
-    return hasher.hexdigest()
-
-
 # -- determinism and sharding invariance ---------------------------------
 
 
 def test_batch_run_is_deterministic():
     config = scenario()
-    assert digest(FleetSimulator(config).run()) == digest(
-        FleetSimulator(config).run())
+    assert (FleetSimulator(config).run().record_digest()
+            == FleetSimulator(config).run().record_digest())
 
 
 def test_batch_records_invariant_under_shards_and_workers():
     config = scenario(devices=150)
-    inline = digest(FleetSimulator(config).run())
-    sharded = digest(FleetSimulator(config).run(workers=2, n_shards=5))
+    inline = FleetSimulator(config).run().record_digest()
+    sharded = FleetSimulator(config).run(workers=2,
+                                         n_shards=5).record_digest()
     assert sharded == inline
 
 
@@ -72,8 +61,9 @@ def test_shards_smaller_than_batch_width():
     # 7 devices across 5 shards: every shard is far below any batch
     # width; records must still match the inline run byte for byte.
     config = scenario(devices=7)
-    inline = digest(FleetSimulator(config).run())
-    tiny = digest(FleetSimulator(config).run(workers=2, n_shards=5))
+    inline = FleetSimulator(config).run().record_digest()
+    tiny = FleetSimulator(config).run(workers=2,
+                                      n_shards=5).record_digest()
     assert tiny == inline
 
 
@@ -108,8 +98,8 @@ def test_single_device_fleet():
     assert all(f.device_id == 1 for f in dataset.failures)
     # And it matches the sharded path even though every shard but one
     # is empty.
-    assert digest(dataset) == digest(
-        FleetSimulator(config).run(workers=2, n_shards=4))
+    assert dataset.record_digest() == FleetSimulator(config).run(
+        workers=2, n_shards=4).record_digest()
 
 
 def test_slow_path_oracles_engage_on_patched_arm():
@@ -132,8 +122,8 @@ def test_slow_path_oracles_engage_on_patched_arm():
             if f.error_code == "IRAT_HANDOVER_FAILED"]
     assert irat, "EN-DC handover replay produced no IRAT failures"
     # Oracle participation must not break sharding invariance.
-    assert digest(dataset) == digest(
-        FleetSimulator(config).run(workers=2, n_shards=5))
+    assert dataset.record_digest() == FleetSimulator(config).run(
+        workers=2, n_shards=5).record_digest()
 
 
 # -- statistical equivalence vs the serial oracle ------------------------

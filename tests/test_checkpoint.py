@@ -8,7 +8,6 @@ store from a different scenario is refused outright.
 """
 
 import contextlib
-import hashlib
 import json
 import os
 import signal
@@ -42,17 +41,6 @@ def tiny_scenario(n_devices=24, seed=11, **kwargs) -> ScenarioConfig:
         topology=TopologyConfig(n_base_stations=120, seed=seed + 1),
         **kwargs,
     )
-
-
-def digest(dataset) -> str:
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
 
 
 class TestFingerprint:
@@ -129,7 +117,7 @@ class TestEngineCheckpointing:
         serial = FleetSimulator(scenario).run()
         first = run_sharded(scenario, workers=2, n_shards=4,
                             checkpoint_dir=tmp_path)
-        assert digest(first) == digest(serial)
+        assert first.record_digest() == serial.record_digest()
 
         simulated = []
 
@@ -145,7 +133,7 @@ class TestEngineCheckpointing:
                             counting)
         resumed = run_sharded(scenario, workers=2, n_shards=4,
                               checkpoint_dir=tmp_path, resume=True)
-        assert digest(resumed) == digest(serial)
+        assert resumed.record_digest() == serial.record_digest()
         assert simulated == []  # nothing re-simulated
         execution = resumed.metadata["execution"]
         assert execution["resumed_shards"] == [0, 1, 2, 3]
@@ -169,7 +157,7 @@ class TestEngineCheckpointing:
 
         resumed = run_sharded(scenario, workers=2, n_shards=4,
                               checkpoint_dir=tmp_path, resume=True)
-        assert digest(resumed) == digest(serial)
+        assert resumed.record_digest() == serial.record_digest()
         assert resumed.metadata["execution"]["resumed_shards"] == [0, 1]
 
     def test_truncated_artifact_quarantined_and_rerun(self, tmp_path):
@@ -183,7 +171,7 @@ class TestEngineCheckpointing:
 
         resumed = run_sharded(scenario, workers=2, n_shards=4,
                               checkpoint_dir=tmp_path, resume=True)
-        assert digest(resumed) == digest(serial)
+        assert resumed.record_digest() == serial.record_digest()
         execution = resumed.metadata["execution"]
         assert execution["resumed_shards"] == [0, 2, 3]
         [quarantined] = execution["checkpoint"]["quarantined"]
@@ -203,7 +191,7 @@ class TestEngineCheckpointing:
 
         resumed = run_sharded(scenario, workers=2, n_shards=4,
                               checkpoint_dir=tmp_path, resume=True)
-        assert digest(resumed) == digest(serial)
+        assert resumed.record_digest() == serial.record_digest()
         execution = resumed.metadata["execution"]
         assert execution["resumed_shards"] == [0, 1, 3]
         [quarantined] = execution["checkpoint"]["quarantined"]
@@ -230,7 +218,7 @@ class TestEngineCheckpointing:
 
         resumed = run_sharded(scenario, workers=2, n_shards=4,
                               checkpoint_dir=tmp_path, resume=True)
-        assert resumed.record_digest() == digest(serial)
+        assert resumed.record_digest() == serial.record_digest()
         execution = resumed.metadata["execution"]
         assert execution["resumed_shards"] == [0, 1, 3]
         [quarantined] = execution["checkpoint"]["quarantined"]
@@ -271,7 +259,7 @@ class TestEngineCheckpointing:
         serial = FleetSimulator(scenario).run()
         dataset = FleetSimulator(scenario).run(checkpoint_dir=tmp_path,
                                                n_shards=4)
-        assert digest(dataset) == digest(serial)
+        assert dataset.record_digest() == serial.record_digest()
         assert (tmp_path / "manifest.json").exists()
 
 
@@ -365,7 +353,7 @@ class TestKillAndResume:
         )
         fresh = FleetSimulator(scenario).run()
         resumed = load_dataset(out_resumed)
-        assert digest(resumed) == digest(fresh)
+        assert resumed.record_digest() == fresh.record_digest()
         execution = resumed.metadata["execution"]
         assert (sorted(int(i) for i in completed_before_resume)
                 == execution["resumed_shards"])

@@ -220,14 +220,15 @@ class TestScrub:
 
         from repro.serve.harness import synthetic_records
         from repro.store import SegmentStore
+        from tests.store_helpers import drop_wal_of
 
-        # No WAL: a damaged segment's records are unrecoverable.
-        store = SegmentStore(tmp_path / "store", seal_records=5,
-                             wal=False)
+        # No WAL copy: a damaged segment's records are unrecoverable.
+        store = SegmentStore(tmp_path / "store", seal_records=5)
         for record in synthetic_records(5, 5, seed=4):
             store.append(record)
         store.flush()
         victim = sorted(store.segments_dir.glob("*.seg"))[0]
+        drop_wal_of(store.journal_path, victim.name)
         blob = bytearray(victim.read_bytes())
         blob[-4] ^= 0x08
         victim.write_bytes(bytes(blob))
@@ -247,15 +248,15 @@ class TestScrub:
         assert "ingest layer" not in err
         # The advice holds: the reopened store no longer owns them.
         lost = json.loads(report_path.read_text())["lost_keys"]
-        reopened = SegmentStore(store.root, seal_records=5, wal=False)
+        reopened = SegmentStore(store.root, seal_records=5)
         assert lost and not any(key in reopened for key in lost)
         # Damage again for the strict run (first run repaired).
-        store2 = SegmentStore(tmp_path / "store2", seal_records=5,
-                              wal=False)
+        store2 = SegmentStore(tmp_path / "store2", seal_records=5)
         for record in synthetic_records(5, 5, seed=6):
             store2.append(record)
         store2.flush()
         victim2 = sorted(store2.segments_dir.glob("*.seg"))[0]
+        drop_wal_of(store2.journal_path, victim2.name)
         blob2 = bytearray(victim2.read_bytes())
         blob2[-4] ^= 0x08
         victim2.write_bytes(bytes(blob2))

@@ -120,15 +120,42 @@ class TestDataset:
         assert set(dataset.failures_by_device()) == {1, 2}
 
     def test_record_digest_covers_records_not_metadata(self):
+        """The one independent reference for ``record_digest``: every
+        record of all four groups, in the order devices, base
+        stations, failures, transitions, each in list order."""
         dataset = self.make()
+        dataset.base_stations = [
+            BaseStationRecord(bs_id=7, isp="ISP-A", rats=("4G", "5G"),
+                              deployment="URBAN"),
+            BaseStationRecord(bs_id=3, isp="ISP-B", rats=("4G",),
+                              deployment="RURAL"),
+        ]
+        dataset.transitions = [
+            TransitionRecord(device_id=1, from_rat="4G", from_level=3,
+                             to_rat="5G", to_level=0, executed=True,
+                             failed_after=True),
+            TransitionRecord(device_id=2, from_rat="5G", from_level=1,
+                             to_rat="4G", to_level=2, executed=False,
+                             failed_after=False),
+        ]
         hasher = hashlib.sha256()
-        for record in dataset.devices + dataset.failures:
+        for record in (dataset.devices + dataset.base_stations
+                       + dataset.failures + dataset.transitions):
             hasher.update(
                 json.dumps(record.to_dict(), sort_keys=True).encode())
         assert dataset.record_digest() == hasher.hexdigest()
         dataset.metadata["seed"] = 2
         assert dataset.record_digest() == hasher.hexdigest()
-        dataset.failures.reverse()
+        for group in ("base_stations", "failures", "transitions"):
+            records = getattr(dataset, group)
+            records.reverse()
+            assert dataset.record_digest() != hasher.hexdigest(), group
+            records.reverse()
+        assert dataset.record_digest() == hasher.hexdigest()
+        # Group order counts: transitions before failures is another
+        # digest.
+        dataset.failures, dataset.transitions = [], (
+            dataset.transitions + dataset.failures)
         assert dataset.record_digest() != hasher.hexdigest()
 
     def test_merge(self):

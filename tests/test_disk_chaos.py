@@ -22,9 +22,8 @@ ALL_FAULTS = ("torn-write", "bit-flip", "enospc", "crash-rename",
               "journal-torn", "journal-flip")
 
 
-def _store(tmp_path, io=None, wal=True):
-    return SegmentStore(tmp_path / "store", seal_records=10,
-                        io=io, wal=wal)
+def _store(tmp_path, io=None):
+    return SegmentStore(tmp_path / "store", seal_records=10, io=io)
 
 
 def _append_with_retries(store, record, attempts=5):

@@ -16,8 +16,9 @@ with the store; ``accepted_keys`` is everything accepted minus what
 scrub lost (plus the residue); the store's fold counts exactly the
 owned records; and the counters are the model's.
 
-The store runs without a WAL, so a damaged segment's records are lost
-rather than recovered — the case the re-upload rules exist for.
+A segment is damaged only after its records' WAL lines are dropped
+from the journal, so its records are lost rather than recovered — the
+case the re-upload rules exist for.
 Derandomised, so tier-1 runs the same cases every time.
 """
 
@@ -40,6 +41,7 @@ from repro.backend.ingest import IngestionServer
 from repro.dataset.records import record_identity
 from repro.serve.harness import synthetic_records
 from repro.store import SegmentStore
+from tests.store_helpers import drop_wal_of
 
 #: 36 rows of three devices.
 POOL = synthetic_records(3, 12, seed=27)
@@ -78,7 +80,7 @@ class IngestStoreMachine(RuleBasedStateMachine):
         shutil.rmtree(self.root, ignore_errors=True)
 
     def _store(self):
-        return SegmentStore(self.root, seal_records=4, wal=False)
+        return SegmentStore(self.root, seal_records=4)
 
     def _send(self, batch):
         """Send ``batch`` as one group commit; the model judges it."""
@@ -154,6 +156,8 @@ class IngestStoreMachine(RuleBasedStateMachine):
         live = store.query_snapshot().live
         name = sorted(live)[index % len(live)]
         path = store.segments_dir / name
+        # No WAL copy: damage is loss.
+        drop_wal_of(store.journal_path, name)
         path.write_bytes(path.read_bytes()[:-7])
         report = store.scrub(repair=True)
         lost = set(live[name]["keys"])

@@ -7,7 +7,6 @@ and keeps common-random-numbers pairing intact across A/B arms.
 """
 
 import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -36,18 +35,6 @@ def tiny_scenario(n_devices=60, seed=11, **kwargs) -> ScenarioConfig:
         topology=TopologyConfig(n_base_stations=120, seed=seed + 1),
         **kwargs,
     )
-
-
-def digest(dataset) -> str:
-    """SHA-256 over all records, order-sensitive (metadata excluded)."""
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
 
 
 class TestShardBounds:
@@ -89,18 +76,18 @@ class TestDeterminism:
         scenario = tiny_scenario()
         serial = FleetSimulator(scenario).run()
         sharded = run_sharded(scenario, workers=4, mode="inline")
-        assert digest(sharded) == digest(serial)
+        assert sharded.record_digest() == serial.record_digest()
 
     def test_process_matches_serial(self):
         scenario = tiny_scenario()
         serial = FleetSimulator(scenario).run()
         sharded = FleetSimulator(scenario).run(workers=2)
-        assert digest(sharded) == digest(serial)
+        assert sharded.record_digest() == serial.record_digest()
 
     def test_worker_count_is_irrelevant(self):
         scenario = tiny_scenario(n_devices=23)
         digests = {
-            digest(run_sharded(scenario, workers=w, mode="inline"))
+            run_sharded(scenario, workers=w, mode="inline").record_digest()
             for w in (2, 3, 5)
         }
         assert len(digests) == 1
@@ -109,7 +96,7 @@ class TestDeterminism:
         scenario = tiny_scenario(chaos=ChaosConfig(seed=5))
         serial = FleetSimulator(scenario).run()
         sharded = run_sharded(scenario, workers=3, mode="inline")
-        assert digest(sharded) == digest(serial)
+        assert sharded.record_digest() == serial.record_digest()
 
     def test_rejects_bad_worker_count(self):
         simulator = FleetSimulator(tiny_scenario(n_devices=4))
@@ -134,7 +121,7 @@ class TestABParity:
                 scenario, workers=workers
             )
             results[workers] = (
-                digest(vanilla), digest(patched),
+                vanilla.record_digest(), patched.record_digest(),
                 dataclasses.asdict(evaluation),
             )
         assert results[None] == results[2]

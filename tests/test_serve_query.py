@@ -43,6 +43,7 @@ from repro.serve.query import (
 )
 from repro.store import FoldState, SegmentStore
 from repro.store import segment as segment_module
+from repro.store import fold as fold_module
 from repro.store import store as store_module
 
 
@@ -480,8 +481,7 @@ class TestCarriedFold:
         from repro.dataset.store import Dataset
 
         records = mixed_records(n_devices=40, per_device=10)
-        store = SegmentStore(tmp_path / "store", seal_records=16,
-                             wal=False)
+        store = SegmentStore(tmp_path / "store", seal_records=16)
         writing = threading.Event()
         written = threading.Event()
         folded = threading.Event()
@@ -715,7 +715,7 @@ class TestColumnarColdFold:
     ):
         store = self.sealed_store(tmp_path)
         offline = canonical(compute_analysis_block(store.dataset()))
-        monkeypatch.setattr(store_module, "FOLD_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(fold_module, "FOLD_CHUNK_ROWS", chunk_rows)
         calls = self.count_reductions(monkeypatch)
         fold = QueryEngine(FakeServer(store)).fold()
         assert calls == reductions

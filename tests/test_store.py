@@ -28,7 +28,8 @@ from repro.store import (
     encode_segment,
     segment_digest,
 )
-from repro.store.store import _line_crc, _seal_entry, _verify_line
+from repro.store.journal import _line_crc, _seal_entry, _verify_line
+from tests.store_helpers import drop_wal_of
 
 
 def _records(n_devices=12, per_device=6, seed=7):
@@ -295,16 +296,6 @@ class TestSegmentStore:
         assert victim.exists()
         assert not store.quarantine_dir.exists()
 
-    def test_wal_disabled_store_still_seals(self, tmp_path):
-        records = _records()
-        store = _store(tmp_path, wal=False)
-        for r in records:
-            store.append(r)
-        store.flush()
-        reloaded = _store(tmp_path, wal=False)
-        assert reloaded.n_sealed_records == len(records)
-        assert reloaded.fold_analysis().block == _direct_block(records)
-
     def test_rejects_bad_config(self, tmp_path):
         with pytest.raises(StoreError):
             SegmentStore(tmp_path / "s", seal_records=0)
@@ -377,6 +368,28 @@ class TestIngestionServerStore:
         assert snapshot["seen"] == []  # all keys journal-proven
         assert snapshot["store"] == store.describe()
 
+    def test_a_checkpoint_naming_the_wal_option_restores(self, tmp_path):
+        """Drain checkpoints written while the store had a ``wal``
+        option carry it; a restore ignores it and journals as ever."""
+        records = _records()[:12]
+        store = _store(tmp_path)
+        server = IngestionServer()
+        server.attach_store(store)
+        for r in records[:6]:
+            server.ingest_record(dict(r))
+        snapshot = json.loads(json.dumps(server.checkpoint()))
+        assert snapshot["store"] == {"root": str(store.root),
+                                     "seal_records": 10}
+        snapshot["store"]["wal"] = False
+        revived = IngestionServer.restore(snapshot)
+        assert revived.store.describe() == store.describe()
+        for r in records:
+            revived.ingest_record(dict(r))
+        assert (revived.accepted, revived.duplicates) == (12, 6)
+        reopened = _store(tmp_path)
+        assert reopened.tail_rows() == records[10:]
+        assert reopened.fold_analysis().block == _direct_block(records)
+
     def test_restore_reattaches_store_and_dedups(self, tmp_path):
         records = _records()
         store = _store(tmp_path)
@@ -412,14 +425,15 @@ class TestIngestionServerStore:
         re-upload is accepted without forgetting anything; forget_keys
         reaches only the residue a restored checkpoint can carry."""
         records = _records()
-        store = _store(tmp_path, wal=False)  # no WAL: damage is loss
+        store = _store(tmp_path)
         server = IngestionServer()
         server.attach_store(store)
         for r in records:
             server.ingest_record(dict(r))
         store.flush()
         victim = sorted(store.segments_dir.glob("*.seg"))[0]
-        lost = set(store._live[victim.name]["keys"])
+        # No WAL copy: damage is loss.
+        lost = set(drop_wal_of(store.journal_path, victim.name))
         victim.write_bytes(victim.read_bytes()[:-9])
         assert set(store.scrub(repair=True).lost_keys) == lost
         assert server.forget_keys(lost) == 0
@@ -750,7 +764,7 @@ class TestSealEntry:
         def no_redump(_entry):
             raise AssertionError("an intact sealed line was re-dumped")
 
-        monkeypatch.setattr("repro.store.store._line_crc", no_redump)
+        monkeypatch.setattr("repro.store.journal._line_crc", no_redump)
         assert _verify_line(_seal_entry(entry)) == (json.loads(
             _seal_entry(entry)), None)
 
@@ -911,7 +925,7 @@ class TestStreamedReopen:
             assert store._known == expected["known"]
             assert store._live == expected["live"]
             assert store.journal_damage == expected["damage"]
-            assert store._journal_good_bytes == expected["good_bytes"]
+            assert store.journal.scan().good_bytes == expected["good_bytes"]
             assert store._seq == expected["seq"]
 
     def test_quarantine_recovers_the_rows_the_whole_journal_holds(
@@ -971,4 +985,4 @@ class TestStreamedReopen:
         store.append_many([(r, None) for r in _records()[:3]])
         key = next(iter(store))
         with pytest.raises(StoreError, match=key):
-            store._read_wal({key: 1}, [key])
+            store.journal.read_wal({key: 1}, [key])

@@ -8,7 +8,6 @@ history in ``metadata["execution"]`` — while exceptions raised inside
 ``simulate_shard`` fail the run fast with the worker's traceback.
 """
 
-import hashlib
 import json
 import multiprocessing
 
@@ -42,17 +41,6 @@ def tiny_scenario(n_devices=30, seed=11, **kwargs) -> ScenarioConfig:
         topology=TopologyConfig(n_base_stations=120, seed=seed + 1),
         **kwargs,
     )
-
-
-def digest(dataset) -> str:
-    hasher = hashlib.sha256()
-    for group in (dataset.devices, dataset.base_stations,
-                  dataset.failures, dataset.transitions):
-        for record in group:
-            hasher.update(
-                json.dumps(record.to_dict(), sort_keys=True).encode()
-            )
-    return hasher.hexdigest()
 
 
 #: Fast supervision for fault tests: short backoff, tight deadline.
@@ -142,7 +130,7 @@ class TestFaultRecovery:
         dataset = run_sharded(scenario, workers=workers,
                               n_shards=n_shards, retry=retry,
                               worker_chaos=worker_chaos)
-        assert digest(dataset) == digest(serial)
+        assert dataset.record_digest() == serial.record_digest()
         execution = dataset.metadata["execution"]
         categories = {f["category"] for f in execution["failures"]}
         assert category in categories
@@ -190,7 +178,7 @@ class TestFaultRecovery:
                               shard_timeout_s=1.5),
             worker_chaos=chaos,
         )
-        assert digest(dataset) == digest(serial)
+        assert dataset.record_digest() == serial.record_digest()
         execution = dataset.metadata["execution"]
         # The seeded draws at this seed fault several dispatches; every
         # one of them must be on record.
@@ -291,7 +279,7 @@ class TestInlineFallback:
             "supervisor failed (RuntimeError: injected pool collapse); "
             "ran inline"
         )
-        assert digest(dataset) == digest(serial)
+        assert dataset.record_digest() == serial.record_digest()
 
     def test_invalid_mode_env_raises_documented_valueerror(self,
                                                            monkeypatch):
