@@ -156,9 +156,11 @@ def reconcile_disk(injected: list[dict],
       kept the records in its tail (no scrub finding expected);
     * ``crash-rename`` → *temp-removed*: scrub deleted the orphan
       temp file (or it was already gone);
-    * ``torn-write`` / ``bit-flip`` → *quarantined* (the damaged
-      segment was caught by its digest) or *superseded* (the file was
-      never committed, so its rows stayed tail/WAL-owned);
+    * ``torn-write`` / ``bit-flip`` → *never-landed* (the process
+      died between the damaged temp file and its rename, and scrub
+      removed the temp), *quarantined* (the damaged segment was
+      caught by its digest) or *superseded* (the file was never
+      committed, so its rows stayed tail/WAL-owned);
     * ``journal-torn`` → *journal-truncated*;
     * ``journal-flip`` → *journal-damage-detected* (damaged lines are
       CRC-skipped; a flipped commit line surfaces as an adopted or
@@ -192,18 +194,18 @@ def reconcile_disk(injected: list[dict],
     for fault in injected:
         kind = fault["fault"]
         name = Path(fault["path"]).name
+        temp = Path(fault.get("temp", ""))
         if kind == "enospc":
             settle(fault, "retained")
         elif kind == "crash-rename":
-            temp_name = Path(fault.get("temp", "")).name
-            if temp_name in temp_removed or not Path(
-                fault.get("temp", "")
-            ).exists():
+            if temp.name in temp_removed or not temp.exists():
                 settle(fault, "temp-removed")
             else:
                 settle(fault, None)
         elif kind in ("torn-write", "bit-flip"):
-            if name in quarantined:
+            if temp.name in temp_removed:
+                settle(fault, "never-landed")
+            elif name in quarantined:
                 settle(fault, "quarantined")
             elif name in superseded or name in adopted:
                 # The damaged write was never committed (a later fault

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 
@@ -246,18 +245,10 @@ class CheckpointStore:
         return result
 
     def _quarantine(self, index: int, reason: str) -> None:
-        path = self.artifact_path(index)
-        destination = self.quarantine_dir / path.name
-        moved = False
-        if path.exists():
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, destination)
-                moved = True
-            except OSError:
-                pass
+        moved = self.io.move(self.artifact_path(index),
+                             self.quarantine_dir)
         self.quarantined.append({
             "shard": index,
             "reason": reason,
-            "moved_to": str(destination) if moved else None,
+            "moved_to": str(moved) if moved else None,
         })

@@ -205,8 +205,5 @@ class Journal:
         except OSError:
             return 0
         if cut and torn:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+            self.io.truncate(self.path, good_bytes)
         return torn

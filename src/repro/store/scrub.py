@@ -3,16 +3,14 @@
 :func:`scrub` runs under both of the store's locks
 (:meth:`~repro.store.SegmentStore.scrub`).  With the store itself, it
 is the only code that changes the store's ``_live``, ``_tail``,
-``_known`` and ``_seq``, and every journal read and write it makes
-goes through the store's :class:`~repro.store.journal.Journal`.
+``_known`` and ``_seq``.  Every journal read and write it makes goes
+through the store's :class:`~repro.store.journal.Journal`, and every
+file it moves, removes or truncates through the store's ``io``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import TYPE_CHECKING, get_origin, get_type_hints
 
 from repro.dataset.records import record_identity
@@ -107,17 +105,6 @@ class ScrubReport:
         return "\n".join(lines)
 
 
-def _quarantine(path: Path, quarantine_dir: Path) -> None:
-    """Move ``path``, if it is there, into ``quarantine_dir``.  A move
-    the filesystem refuses leaves the file where it is, for the next
-    scrub to find again."""
-    if not path.exists():
-        return
-    quarantine_dir.mkdir(parents=True, exist_ok=True)
-    with contextlib.suppress(OSError):
-        os.replace(path, quarantine_dir / path.name)
-
-
 def scrub(store: SegmentStore, repair: bool) -> ScrubReport:
     """:meth:`SegmentStore.scrub <repro.store.SegmentStore.scrub>`,
     under the store's locks."""
@@ -140,15 +127,11 @@ def scrub(store: SegmentStore, repair: bool) -> ScrubReport:
     # bytes past ``good_bytes``, which is past every indexed line, and
     # quarantine and commit lines are appended after them.
     scan = store.journal.scan(entries=False)
-    damage = scan.damage
-    torn = [d for d in damage if d["reason"] == "torn-tail"]
-    report.journal_damaged_lines = len(damage) - len(torn)
+    torn = [d for d in scan.damage if d["reason"] == "torn-tail"]
+    report.journal_damaged_lines = len(scan.damage) - len(torn)
     if torn:
         report.journal_truncated_bytes = store.journal.cut_torn_tail(
             scan.good_bytes, repair)
-        if repair and report.journal_truncated_bytes:
-            damage = [d for d in damage if d not in torn]
-    store.journal_damage = damage
     registry.inc("scrub_journal_damaged_lines_total",
                  report.journal_damaged_lines)
 
@@ -184,8 +167,7 @@ def scrub(store: SegmentStore, repair: bool) -> ScrubReport:
             report.temp_files_removed.append(str(temp))
             registry.inc("scrub_temp_files_removed_total")
             if repair:
-                with contextlib.suppress(OSError):
-                    temp.unlink()
+                store.io.remove(temp)
 
     report.recovered_keys = tuple(recovered)
     report.lost_keys = tuple(lost)
@@ -206,7 +188,7 @@ def _classify_damaged(store: SegmentStore, name: str, entry: dict,
     lost.extend(unrecoverable)
     if repair:
         rows = store.journal.read_wal(wal_offsets, recoverable)
-        _quarantine(store.segments_dir / name, store.quarantine_dir)
+        store.io.move(store.segments_dir / name, store.quarantine_dir)
         store.journal.quarantine(name, reason, keys)
         store._live.pop(name, None)
         # WAL-covered records return to the unsealed tail; the next
@@ -244,7 +226,7 @@ def _scan_orphans(store: SegmentStore, wal_offsets: dict,
             # WAL.  Quarantine the junk file.
             superseded.append(path.name)
             if repair:
-                _quarantine(path, store.quarantine_dir)
+                store.io.move(path, store.quarantine_dir)
             continue
         keys = [record_identity(row) for row in rows]
         in_live = [k for k in keys if k in live_keys]
@@ -253,8 +235,7 @@ def _scan_orphans(store: SegmentStore, wal_offsets: dict,
             # duplicate, safe to delete.
             superseded.append(path.name)
             if repair:
-                with contextlib.suppress(OSError):
-                    path.unlink()
+                store.io.remove(path)
             continue
         if in_live:
             # Mixed live coverage: adopting would double-own the
@@ -271,7 +252,7 @@ def _scan_orphans(store: SegmentStore, wal_offsets: dict,
                     wal_offsets, [k for k in fresh if k in wal_offsets]))
                 store._tail.extend((key, by_key[key]) for key in fresh)
                 store._known.update(fresh)
-                _quarantine(path, store.quarantine_dir)
+                store.io.move(path, store.quarantine_dir)
             continue
         # No live coverage: this is the crash-between-rename-and-commit
         # window (or a damaged commit line).  Adopt the file — the

@@ -108,8 +108,6 @@ class SegmentStore:
         #: Every identity the store owns (sealed or tail).
         self._known: set[str] = set()
         self._seq = 0
-        #: Journal damage observed while loading (scrub classifies it).
-        self.journal_damage: list[dict] = []
         #: Serializes the mutations: appends, seals and scrub.
         #: Reentrant, so a seal can run inside an append.
         self._writer = threading.RLock()
@@ -185,7 +183,6 @@ class SegmentStore:
 
     def _load_journal(self) -> None:
         scan = self.journal.scan()
-        self.journal_damage = scan.damage
         for entry in scan.entries:
             if entry["op"] == "commit":
                 self._live[entry["segment"]] = entry

@@ -924,7 +924,7 @@ class TestStreamedReopen:
             assert store._tail == expected["tail"]
             assert store._known == expected["known"]
             assert store._live == expected["live"]
-            assert store.journal_damage == expected["damage"]
+            assert store.journal.scan().damage == expected["damage"]
             assert store.journal.scan().good_bytes == expected["good_bytes"]
             assert store._seq == expected["seq"]
 
