@@ -30,7 +30,6 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -41,6 +40,7 @@ from repro.dataset.store import load_dataset  # noqa: E402
 from repro.fleet.scenario import ScenarioConfig  # noqa: E402
 from repro.fleet.simulator import FleetSimulator  # noqa: E402
 from repro.network.topology import TopologyConfig  # noqa: E402
+from smoke_dir import fail, smoke_dir  # noqa: E402
 
 
 def completed_shards(manifest_path: Path) -> dict:
@@ -60,9 +60,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="give up if no shard completes in time")
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory(prefix="kill-resume-") as tmp:
-        checkpoint_dir = Path(tmp) / "ckpt"
-        out_path = Path(tmp) / "resumed.jsonl.gz"
+    with smoke_dir("kill-resume-") as tmp_path:
+        checkpoint_dir = tmp_path / "ckpt"
+        out_path = tmp_path / "resumed.jsonl.gz"
         base_cmd = [
             sys.executable, "-m", "repro", "study",
             "--devices", str(args.devices), "--seed", str(args.seed),
@@ -100,9 +100,8 @@ def main(argv: list[str] | None = None) -> int:
 
         before = sorted(int(k) for k in completed_shards(manifest_path))
         if not before:
-            print("FAIL: no shard completed before the kill; nothing "
-                  "to resume", file=sys.stderr)
-            return 1
+            fail("no shard completed before the kill; nothing "
+                 "to resume")
         print(f"      shards completed before resume: {before}")
 
         print("[3/4] resuming from the manifest")
@@ -112,9 +111,8 @@ def main(argv: list[str] | None = None) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         if resume.returncode != 0:
-            print(f"FAIL: resume exited {resume.returncode}\n"
-                  f"{resume.stdout}", file=sys.stderr)
-            return 1
+            fail(f"resume exited {resume.returncode}\n"
+                 f"{resume.stdout}")
 
         print("[4/4] verifying byte-identity against a fresh serial run")
         scenario = ScenarioConfig(
@@ -130,23 +128,20 @@ def main(argv: list[str] | None = None) -> int:
         fresh_digest = fresh.record_digest()
         resumed_digest = resumed.record_digest()
         if fresh_digest != resumed_digest:
-            print(f"FAIL: resumed dataset diverges from serial run\n"
-                  f"  serial:  {fresh_digest}\n"
-                  f"  resumed: {resumed_digest}", file=sys.stderr)
-            return 1
+            fail(f"resumed dataset diverges from serial run\n"
+                 f"  serial:  {fresh_digest}\n"
+                 f"  resumed: {resumed_digest}")
 
         execution = resumed.metadata["execution"]
         resumed_shards = execution.get("resumed_shards", [])
         if resumed_shards != before:
-            print(f"FAIL: resume re-simulated completed shards "
-                  f"(completed before: {before}, reloaded: "
-                  f"{resumed_shards})", file=sys.stderr)
-            return 1
+            fail(f"resume re-simulated completed shards "
+                 f"(completed before: {before}, reloaded: "
+                 f"{resumed_shards})")
         quarantined = execution.get("checkpoint", {}).get("quarantined")
         if quarantined:
-            print(f"FAIL: clean artifacts were quarantined: "
-                  f"{quarantined}", file=sys.stderr)
-            return 1
+            fail(f"clean artifacts were quarantined: "
+                 f"{quarantined}")
 
         print(f"OK: kill-and-resume byte-identical "
               f"(sha256 {fresh_digest[:16]}..., reloaded "

@@ -36,7 +36,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -66,6 +65,7 @@ from repro.serve.query import (  # noqa: E402
     STATS_FIELDS,
     TRANSITIONS_FIELDS,
 )
+from smoke_dir import fail, smoke_dir  # noqa: E402
 
 #: Retry-only chaos (drops, duplicates, reordering): every emitted
 #: record is eventually accepted, so the control and soak stores
@@ -188,11 +188,6 @@ def verify_envelopes(envelopes: list[dict],
     return verified, None
 
 
-def fail(message: str) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--devices", type=int, default=20)
@@ -204,9 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                                 seed=args.seed)
     total = len(records)
 
-    with tempfile.TemporaryDirectory(prefix="query-soak-") as tmp:
-        tmp_path = Path(tmp)
-
+    with smoke_dir("query-soak-") as tmp_path:
         # -- control leg -----------------------------------------------
         print(f"[1/3] control: {total} records through a store-backed "
               "service, offline fold is the reference")
@@ -216,16 +209,16 @@ def main(argv: list[str] | None = None) -> int:
                             chaos=ChaosConfig(seed=args.seed, **CHAOS))
         drain_fleet(drive)
         if drive.pending_payloads:
-            return fail("control fleet never drained its spools")
+            fail("control fleet never drained its spools")
         time.sleep(0.3)
         code, _tail = ctrl.sigterm()
         drive.close()
         if code != 0:
-            return fail(f"control serve exited {code}")
+            fail(f"control serve exited {code}")
         control_rows = journal_rows(tmp_path / "control-store")
         if len(control_rows) != total:
-            return fail(f"control store journalled "
-                        f"{len(control_rows)}/{total} records")
+            fail(f"control store journalled "
+                 f"{len(control_rows)}/{total} records")
         control_block = offline_block(control_rows)
         print(f"      offline block over {total} records: "
               f"n_failures={control_block['n_failures']} "
@@ -246,11 +239,11 @@ def main(argv: list[str] | None = None) -> int:
         code, tail = soak.sigterm()
         poller.stop()
         if code != 0:
-            return fail(f"soak serve exited {code} mid-drain: {tail}")
+            fail(f"soak serve exited {code} mid-drain: {tail}")
         if "checkpoint written" not in tail:
-            return fail(f"soak drain never checkpointed: {tail!r}")
+            fail(f"soak drain never checkpointed: {tail!r}")
         if not poller.envelopes:
-            return fail("the poller never got an answer mid-soak")
+            fail("the poller never got an answer mid-soak")
         mid_answers = len(poller.envelopes)
         mid_watermarks = sorted({e["watermark"]["n_records"]
                                  for e in poller.envelopes})
@@ -263,13 +256,13 @@ def main(argv: list[str] | None = None) -> int:
         resumed = serve(ckpt, store_dir, "--resume",
                         "--prom-out", str(prom_out))
         if not any("resumed from" in line for line in resumed.banner):
-            return fail(f"resume leg did not load the checkpoint: "
-                        f"{resumed.banner!r}")
+            fail(f"resume leg did not load the checkpoint: "
+                 f"{resumed.banner!r}")
         poller.start(resumed.host, resumed.port)
         drive = drive_fleet([], resumed.host, resumed.port, drive=drive)
         drain_fleet(drive)
         if drive.pending_payloads:
-            return fail("resumed fleet never drained its spools")
+            fail("resumed fleet never drained its spools")
         deadline = time.monotonic() + 15.0
         final = None
         while time.monotonic() < deadline:
@@ -288,37 +281,37 @@ def main(argv: list[str] | None = None) -> int:
             time.sleep(0.2)
         poller.stop()
         if final is None:
-            return fail("the repro query CLI never got an answer")
+            fail("the repro query CLI never got an answer")
         if final["watermark"]["n_records"] != total:
-            return fail(f"final watermark stuck at "
-                        f"{final['watermark']['n_records']}/{total}")
+            fail(f"final watermark stuck at "
+                 f"{final['watermark']['n_records']}/{total}")
         expected = {key: control_block[key] for key in STATS_FIELDS}
         if canonical(final["result"]) != canonical(expected):
-            return fail("the final live stats answer diverged from "
-                        "the control run's offline block")
+            fail("the final live stats answer diverged from "
+                 "the control run's offline block")
         code, _tail = resumed.sigterm()
         drive.close()
         if code != 0:
-            return fail(f"resumed serve exited {code}")
+            fail(f"resumed serve exited {code}")
 
         # -- the exactness audit ---------------------------------------
         rows = journal_rows(store_dir)
         if len(rows) != total:
-            return fail(f"soak store journalled {len(rows)}/{total} "
-                        "records")
+            fail(f"soak store journalled {len(rows)}/{total} "
+                 "records")
         verified, error = verify_envelopes(poller.envelopes, rows)
         if error:
-            return fail(error)
+            fail(error)
         hits = sum(e.get("cache", {}).get("hits", 0)
                    for e in poller.envelopes)
         if hits == 0:
-            return fail("repeated polls never hit the partial cache")
+            fail("repeated polls never hit the partial cache")
         prom_text = prom_out.read_text()
         for metric in ("query_requests_total", "query_cache_hits_total",
                        "query_stage_seconds"):
             if metric not in prom_text:
-                return fail(f"{metric} missing from the Prometheus "
-                            "export")
+                fail(f"{metric} missing from the Prometheus "
+                     "export")
 
         print(f"OK: {verified} live answers (watermarks "
               f"{mid_watermarks[0]}..{total}) each byte-identical to "

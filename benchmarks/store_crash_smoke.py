@@ -36,7 +36,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from repro.serve.harness import (  # noqa: E402
     synthetic_records,
 )
 from repro.store import ScrubReport, SegmentStore  # noqa: E402
+from smoke_dir import fail, smoke_dir  # noqa: E402
 
 
 def serve(store_dir: Path, checkpoint: Path, seal_records: int,
@@ -59,11 +59,6 @@ def serve(store_dir: Path, checkpoint: Path, seal_records: int,
     """One store-backed ``repro serve`` subprocess."""
     return ServeProcess(checkpoint, "--store-dir", str(store_dir),
                         "--seal-records", str(seal_records), *flags)
-
-
-def fail(message: str) -> int:
-    print(f"FAIL: {message}", file=sys.stderr)
-    return 1
 
 
 def canonical(block: dict) -> str:
@@ -84,9 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                                 seed=args.seed)
     total = len(records)
 
-    with tempfile.TemporaryDirectory(prefix="store-crash-") as tmp:
-        tmp_path = Path(tmp)
-
+    with smoke_dir("store-crash-") as tmp_path:
         # -- control leg -----------------------------------------------
         print(f"[1/4] control: {total} records through a store-backed "
               "serve, healthy disks")
@@ -97,16 +90,16 @@ def main(argv: list[str] | None = None) -> int:
         drive = drive_fleet(records, ctrl.host, ctrl.port)
         drain_fleet(drive)
         if drive.pending_payloads:
-            return fail("control fleet never drained its spools")
+            fail("control fleet never drained its spools")
         time.sleep(0.3)  # let the worker clear the admission queue
         code, tail = ctrl.sigterm()
         drive.close()
         if code != 0:
-            return fail(f"control serve exited {code}: {tail}")
+            fail(f"control serve exited {code}: {tail}")
         control_block = json.loads(ctrl_analysis.read_text())["analysis"]
         if control_block["n_failures"] != total:
-            return fail(f"control fold saw "
-                        f"{control_block['n_failures']}/{total}")
+            fail(f"control fold saw "
+                 f"{control_block['n_failures']}/{total}")
         print(f"      control analysis folded over {total} records")
 
         # -- crash leg: disk chaos + SIGKILL mid-flush ------------------
@@ -138,15 +131,15 @@ def main(argv: list[str] | None = None) -> int:
             text=True, capture_output=True,
         )
         if result.returncode != 0:
-            return fail(f"repro scrub exited {result.returncode}:\n"
-                        f"{result.stdout}{result.stderr}")
+            fail(f"repro scrub exited {result.returncode}:\n"
+                 f"{result.stdout}{result.stderr}")
         report = ScrubReport.from_dict(
             json.loads(scrub_json.read_text())
         )
         disk = reconcile_disk(ledger, report)
         if not disk.ok:
-            return fail("scrub left injected faults unexplained:\n"
-                        + disk.render())
+            fail("scrub left injected faults unexplained:\n"
+                 + disk.render())
         print(f"      scrub ok: {report.segments_ok} verified, "
               f"{len(report.quarantined)} quarantined, "
               f"{len(report.recovered_keys)} recovered via WAL, "
@@ -162,26 +155,26 @@ def main(argv: list[str] | None = None) -> int:
         drive = drive_fleet(records, resumed.host, resumed.port)
         drain_fleet(drive)
         if drive.pending_payloads:
-            return fail("resumed fleet never drained its spools")
+            fail("resumed fleet never drained its spools")
         time.sleep(0.3)
         code, tail = resumed.sigterm()
         drive.close()
         if code != 0:
-            return fail(f"resumed serve exited {code}: {tail}")
+            fail(f"resumed serve exited {code}: {tail}")
         final_block = json.loads(final_analysis.read_text())
         if final_block["skipped_segments"]:
-            return fail("resumed fold skipped segments: "
-                        f"{final_block['skipped_segments']}")
+            fail("resumed fold skipped segments: "
+                 f"{final_block['skipped_segments']}")
         if canonical(final_block["analysis"]) != canonical(control_block):
-            return fail("resumed analysis diverged from the "
-                        "undisturbed control run")
+            fail("resumed analysis diverged from the "
+                 "undisturbed control run")
         # The store itself must also be scrub-clean and whole.
         survivor = SegmentStore(crash_store, seal_records=8)
         if len(set(survivor)) != total:
-            return fail(f"store owns {len(set(survivor))}"
-                        f"/{total} records after resume")
+            fail(f"store owns {len(set(survivor))}"
+                 f"/{total} records after resume")
         if not survivor.scrub(repair=False).ok:
-            return fail("post-resume scrub found lost records")
+            fail("post-resume scrub found lost records")
 
         print(f"OK: SIGKILL mid-flush under disk chaos, "
               f"{len(ledger)} fault(s) injected and classified, "

@@ -31,12 +31,13 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from smoke_dir import fail, smoke_dir  # noqa: E402
 
 
 def sweep_cmd(packs: list[str], out_dir: Path,
@@ -73,9 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     env = dict(os.environ, PYTHONPATH="src")
-    with tempfile.TemporaryDirectory(prefix="sweep-smoke-") as tmp:
-        control_dir = Path(tmp) / "control"
-        disturbed_dir = Path(tmp) / "disturbed"
+    with smoke_dir("sweep-smoke-") as tmp_path:
+        control_dir = tmp_path / "control"
+        disturbed_dir = tmp_path / "disturbed"
 
         print(f"[1/4] control sweep of {' '.join(args.packs)}")
         control = subprocess.run(
@@ -83,9 +84,8 @@ def main(argv: list[str] | None = None) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         if control.returncode != 0:
-            print(f"FAIL: control sweep exited {control.returncode}\n"
-                  f"{control.stdout}", file=sys.stderr)
-            return 1
+            fail(f"control sweep exited {control.returncode}\n"
+                 f"{control.stdout}")
         control_artifacts = artifact_bytes(control_dir)
         all_packs = completed_packs(control_dir)
         print(f"      control complete: {all_packs}")
@@ -115,9 +115,8 @@ def main(argv: list[str] | None = None) -> int:
                   "resume must skip every pack")
         survivors = completed_packs(disturbed_dir)
         if not survivors:
-            print("FAIL: no pack completed before the kill; nothing "
-                  "to resume", file=sys.stderr)
-            return 1
+            fail("no pack completed before the kill; nothing "
+                 "to resume")
         print(f"      packs completed before resume: {survivors}")
 
         print("[3/4] resuming the disturbed sweep")
@@ -127,31 +126,24 @@ def main(argv: list[str] | None = None) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         if resume.returncode != 0:
-            print(f"FAIL: resume exited {resume.returncode}\n"
-                  f"{resume.stdout}", file=sys.stderr)
-            return 1
+            fail(f"resume exited {resume.returncode}\n"
+                 f"{resume.stdout}")
         skipped = [line for line in resume.stdout.splitlines()
                    if ": skipped (complete" in line]
         for pack in survivors:
             if not any(f" {pack}: skipped" in line for line in skipped):
-                print(f"FAIL: pack {pack!r} completed before the kill "
-                      f"but was re-simulated on resume\n{resume.stdout}",
-                      file=sys.stderr)
-                return 1
+                fail(f"pack {pack!r} completed before the kill "
+                     f"but was re-simulated on resume\n{resume.stdout}")
         print(f"      resume skipped {len(skipped)} completed pack(s)")
 
         resumed_artifacts = artifact_bytes(disturbed_dir)
         if set(resumed_artifacts) != set(control_artifacts):
-            print(f"FAIL: artifact sets differ\n"
-                  f"  control: {sorted(control_artifacts)}\n"
-                  f"  resumed: {sorted(resumed_artifacts)}",
-                  file=sys.stderr)
-            return 1
+            fail(f"artifact sets differ\n"
+                 f"  control: {sorted(control_artifacts)}\n"
+                 f"  resumed: {sorted(resumed_artifacts)}")
         for name, blob in sorted(control_artifacts.items()):
             if resumed_artifacts[name] != blob:
-                print(f"FAIL: {name} diverges from the control sweep",
-                      file=sys.stderr)
-                return 1
+                fail(f"{name} diverges from the control sweep")
 
         print("[4/4] second resume: every pack must skip")
         again = subprocess.run(
@@ -160,21 +152,17 @@ def main(argv: list[str] | None = None) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         if again.returncode != 0:
-            print(f"FAIL: second resume exited {again.returncode}\n"
-                  f"{again.stdout}", file=sys.stderr)
-            return 1
+            fail(f"second resume exited {again.returncode}\n"
+                 f"{again.stdout}")
         skipped_again = [line for line in again.stdout.splitlines()
                          if ": skipped (complete" in line]
         if len(skipped_again) != len(all_packs):
-            print(f"FAIL: second resume re-ran packs "
-                  f"({len(skipped_again)}/{len(all_packs)} skipped)\n"
-                  f"{again.stdout}", file=sys.stderr)
-            return 1
+            fail(f"second resume re-ran packs "
+                 f"({len(skipped_again)}/{len(all_packs)} skipped)\n"
+                 f"{again.stdout}")
         final_artifacts = artifact_bytes(disturbed_dir)
         if final_artifacts != control_artifacts:
-            print("FAIL: artifacts changed across a no-op resume",
-                  file=sys.stderr)
-            return 1
+            fail("artifacts changed across a no-op resume")
 
         print(f"OK: sweep kill-and-resume byte-identical "
               f"({len(survivors)}/{len(all_packs)} pack(s) survived "

@@ -11,12 +11,14 @@ double-count-free under heavy duplication.
 import pytest
 
 from benchmarks.conftest import emit
+from repro.backend.ingest import IngestionServer
 from repro.chaos import ChaosConfig, run_telemetry_pipeline
 from repro.fleet.scenario import ScenarioConfig
 from repro.fleet.simulator import FleetSimulator
 from repro.network.topology import TopologyConfig
 from repro.serve.query import QueryEngine
 from repro.simtime import SECONDS_PER_MONTH
+from repro.store import SegmentStore
 
 _STUDY_MONTHS = 8.0
 _SPAN_S = _STUDY_MONTHS * SECONDS_PER_MONTH
@@ -97,12 +99,13 @@ def test_low_drop_retries_match_lossless_run(fleet_ds):
     assert lossy.transport.dropped > 0  # the losses were real
 
 
-def test_dedup_holds_under_duplication(fleet_ds):
+def test_dedup_holds_under_duplication(fleet_ds, tmp_path):
     """No record is double-counted in the live fold, no matter how
     many duplicate deliveries the transport injects."""
     chaos = ChaosConfig(seed=77, drop_rate=0.05, duplicate_rate=0.20)
-    result = run_telemetry_pipeline(fleet_ds, chaos)
-    server = result.server
+    server = IngestionServer()
+    server.attach_store(SegmentStore(tmp_path / "store"))
+    run_telemetry_pipeline(fleet_ds, chaos, server)
 
     assert server.duplicates > 0
     assert server.accepted == len(server.accepted_keys)

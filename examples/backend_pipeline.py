@@ -2,8 +2,9 @@
 
 Runs a small fleet, ships every failure record through the device-side
 :class:`~repro.monitoring.uploader.UploadBatcher` into the backend
-:class:`~repro.backend.ingest.IngestionServer` (including a simulated
-retry storm the deduplicator must absorb), then checks that the live
+:class:`~repro.backend.ingest.IngestionServer` and its segment store in
+a temporary directory (including a simulated retry storm the
+deduplicator must absorb), then checks that the live
 query answer over what the backend accepted is exactly the offline
 analysis of the same records — and finally replays the same records
 over a *lossy* chaos transport (drops, duplicates, corruption) and
@@ -16,6 +17,7 @@ Usage::
 
 import random
 import sys
+import tempfile
 import time
 
 from repro import ChaosConfig, ScenarioConfig, run_telemetry_pipeline
@@ -27,22 +29,14 @@ from repro.monitoring.uploader import UploadBatcher
 from repro.network.topology import TopologyConfig
 from repro.obs import SUM_SCALE
 from repro.serve.query import STATS_FIELDS, QueryEngine
+from repro.store import SegmentStore
 
 
-def main() -> None:
-    n_devices = int(sys.argv[1]) if len(sys.argv) > 1 else 600
-    scenario = ScenarioConfig(
-        n_devices=n_devices, seed=5,
-        topology=TopologyConfig(n_base_stations=max(300, n_devices // 2),
-                                seed=6),
-    )
-    print(f"Simulating {n_devices} devices...")
-    started = time.perf_counter()
-    dataset = FleetSimulator(scenario).run()
-    print(f"done in {time.perf_counter() - started:.1f} s; "
-          f"uploading {dataset.n_failures} records...")
-
+def upload_and_query(dataset: Dataset, store_dir: str) -> None:
+    """Upload every record into a store-backed server and check the
+    live query answer against the offline analysis."""
     server = IngestionServer()
+    server.attach_store(SegmentStore(store_dir))
     batcher = UploadBatcher(transport=server.receive)
     rng = random.Random(1)
     for record in dataset.failures:
@@ -74,6 +68,23 @@ def main() -> None:
     assert stats == {key: offline[key] for key in STATS_FIELDS}
     print("  identical to the offline analysis block over the same "
           "records")
+
+
+def main() -> None:
+    n_devices = int(sys.argv[1]) if len(sys.argv) > 1 else 600
+    scenario = ScenarioConfig(
+        n_devices=n_devices, seed=5,
+        topology=TopologyConfig(n_base_stations=max(300, n_devices // 2),
+                                seed=6),
+    )
+    print(f"Simulating {n_devices} devices...")
+    started = time.perf_counter()
+    dataset = FleetSimulator(scenario).run()
+    print(f"done in {time.perf_counter() - started:.1f} s; "
+          f"uploading {dataset.n_failures} records...")
+
+    with tempfile.TemporaryDirectory(prefix="backend-pipeline-") as tmp:
+        upload_and_query(dataset, tmp)
 
     chaos = ChaosConfig(seed=13, drop_rate=0.25, duplicate_rate=0.15,
                         reorder_rate=0.05, corrupt_rate=0.02)

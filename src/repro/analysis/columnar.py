@@ -627,10 +627,9 @@ class SegmentPartial:
     isp_devices: dict
 
     @classmethod
-    def from_rows(cls, rows: list, getter=itemgetter) -> "SegmentPartial":
-        """Reduce store rows (record dicts) to a partial; pass
-        ``getter=attrgetter`` for ``FailureRecord`` objects."""
-        return cls.from_columns(_build_failures(rows, getter))
+    def from_rows(cls, rows: list) -> "SegmentPartial":
+        """Reduce store rows (record dicts) to a partial."""
+        return cls.from_columns(_build_failures(rows, itemgetter))
 
     @classmethod
     def from_columns(cls, f: FailureColumns) -> "SegmentPartial":

@@ -5,9 +5,9 @@ Devices ship zlib-compressed JSON records through
 receiving end: decompress, parse, validate, deduplicate (uploads may be
 retried after connectivity loss), and count what it did — the
 "compressed and uploaded to our backend server for centralized
-analysis" sentence of Sec. 2.3, made concrete.  The analysis itself is
-the query plane's (:mod:`repro.serve.query`), folded exactly from the
-records the server keeps.
+analysis" sentence of Sec. 2.3, made concrete.  The server keeps no
+records of its own: they live in the segment store, and the analysis
+is the query plane's (:mod:`repro.serve.query`) fold over it.
 
 Hardening for lossy transports (see :mod:`repro.chaos`):
 
@@ -27,7 +27,9 @@ record identity: a record is a duplicate when the store owns its key
 (``key in store``), and accepted records go to its WAL only.  The
 server's own dedup set keeps just the residue no store proves (keys a
 restored checkpoint carried), and a key a scrub loses leaves the store,
-so its re-upload is accepted as new.
+so its re-upload is accepted as new.  Without a store the server only
+validates, dedups by identity and counts: the in-process chaos
+pipeline reconciles identities and counters, never records.
 """
 
 from __future__ import annotations
@@ -57,12 +59,9 @@ class ServiceUnavailable(RuntimeError):
 class IngestionServer:
     """Receives, validates, deduplicates and counts device uploads."""
 
-    #: In-memory records (legacy mode).  With a segment store attached
-    #: this stays empty — the store owns the records.
-    records: list[FailureRecord] = field(default_factory=list)
-    #: Optional durable :class:`repro.store.SegmentStore`; attach with
-    #: :meth:`attach_store`, never by assignment (the in-memory records
-    #: and the dedup set must hand over to it at the same moment).
+    #: The durable :class:`repro.store.SegmentStore` that keeps the
+    #: accepted records; attach with :meth:`attach_store`, never by
+    #: assignment (the dedup set must hand over to it at that moment).
     store: object | None = field(default=None, repr=False)
     accepted: int = 0
     duplicates: int = 0
@@ -77,8 +76,8 @@ class IngestionServer:
     #: Retained malformed payloads, oldest first, capped at
     #: :data:`QUARANTINE_CAPACITY` entries.
     quarantine: list[dict] = field(default_factory=list, repr=False)
-    #: Accepted identities no store proves: every accepted key in
-    #: memory mode; with a store attached, only keys a restore carried
+    #: Accepted identities no store proves: every accepted key
+    #: without a store; with one attached, only keys a restore carried
     #: over that the store does not own.
     _seen: set[str] = field(default_factory=set, repr=False)
 
@@ -153,7 +152,6 @@ class IngestionServer:
             self.store.append_many([(record.to_dict(), key)
                                     for key, record in accepted])
         else:
-            self.records.extend(record for _key, record in accepted)
             self._seen.update(key for key, _record in accepted)
         registry = get_registry()
         for reason, _key, subject in verdicts:
@@ -174,14 +172,10 @@ class IngestionServer:
         """Make a :class:`~repro.store.SegmentStore` the record home
         and the dedup authority.
 
-        Any in-memory records migrate into the store so there is
-        exactly one owner, and the dedup set sheds every identity the
-        store owns: from here on it holds only what no store proves.
+        The dedup set sheds every identity the store owns: from here on
+        it holds only what no store proves.
         """
         self.store = store
-        store.append_many([(record.to_dict(), None)
-                           for record in self.records])
-        self.records = []
         self._seen = {key for key in self._seen if key not in store}
 
     def forget_keys(self, keys) -> int:
@@ -222,7 +216,6 @@ class IngestionServer:
         grow with the record count.
         """
         snapshot = {
-            "records": [record.to_dict() for record in self.records],
             "accepted": self.accepted,
             "duplicates": self.duplicates,
             "malformed": self.malformed,
@@ -251,12 +244,19 @@ class IngestionServer:
         double-counted after a SIGKILL.  Snapshots written before the
         duration aggregates were dropped restore too; their
         ``duration_stats`` / ``duration_median`` fields are ignored.
+
+        A snapshot whose ``"records"`` list is not empty was written by
+        a store-less serve that kept its records in memory; restoring
+        it would drop records that were already acked, so it raises
+        :class:`ValueError` instead.
         """
+        if snapshot.get("records"):
+            raise ValueError(
+                f"checkpoint holds {len(snapshot['records'])} in-memory "
+                "records from a store-less serve; they have no store to "
+                "restore into, and dropping them would lose acked records"
+            )
         server = cls(
-            records=[
-                FailureRecord.from_dict(data)
-                for data in snapshot["records"]
-            ],
             accepted=int(snapshot["accepted"]),
             duplicates=int(snapshot["duplicates"]),
             malformed=int(snapshot["malformed"]),

@@ -232,7 +232,7 @@ class DiskChaos(DiskIO):
         self.rng = random.Random(f"disk-chaos:{config.seed}")
         self.injected: list[dict] = []
         #: Optional on-disk fault ledger: every injected fault is
-        #: appended (fsynced) the moment it fires, so the ledger
+        #: appended (fsynced) once its damage is on disk, so the ledger
         #: survives even a SIGKILL and a later process can still
         #: reconcile scrub findings against it.
         self.ledger = Path(ledger) if ledger is not None else None
@@ -338,9 +338,14 @@ class DiskChaos(DiskIO):
         })
 
     def _tear(self, path: Path, blob: bytes, cut: int, **detail) -> None:
-        """Land only ``blob[:cut]`` (no newline after it) and "die"."""
-        self._record("journal-torn", path, kept_bytes=cut, **detail)
+        """Land only ``blob[:cut]`` (no newline after it) and "die".
+
+        Like every journal fault, recorded only once its damaged bytes
+        are appended, so a crash can leave no ledger line whose damage
+        never reached the journal.
+        """
         self._append(path, blob[:cut], heal=False)
+        self._record("journal-torn", path, kept_bytes=cut, **detail)
         raise SimulatedCrash(f"crashed mid-append to {path}")
 
     def append_line(self, path: str | Path, line: bytes) -> None:
@@ -349,10 +354,12 @@ class DiskChaos(DiskIO):
         if fault == "journal-torn" and len(line) > 1:
             self._tear(path, line, self.rng.randrange(1, len(line)),
                        full_bytes=len(line))
+        bit = None
         if fault == "journal-flip" and line:
-            line, position = self._flip_bit(line, self.rng)
-            self._record("journal-flip", path, bit=position)
+            line, bit = self._flip_bit(line, self.rng)
         super().append_line(path, line)
+        if bit is not None:
+            self._record("journal-flip", path, bit=bit)
 
     def append_lines(self, path: str | Path, lines: list[bytes]) -> None:
         """One fault draw per *batch*: a torn group commit lands a
@@ -373,14 +380,16 @@ class DiskChaos(DiskIO):
             self._tear(path, blob, cut, full_bytes=len(blob),
                        records=len(lines),
                        records_landed=blob.count(b"\n", 0, cut))
+        flip = None
         if fault == "journal-flip":
             lines = list(lines)
             index = self.rng.randrange(len(lines))
             lines[index], position = self._flip_bit(lines[index],
                                                     self.rng)
-            self._record("journal-flip", path, bit=position,
-                         line=index, records=len(lines))
+            flip = {"bit": position, "line": index, "records": len(lines)}
         super().append_lines(path, lines)
+        if flip is not None:
+            self._record("journal-flip", path, **flip)
 
     def summary(self) -> dict[str, int]:
         """Injected-fault counts by kind."""

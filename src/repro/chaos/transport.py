@@ -1,26 +1,18 @@
 """A fault-injecting transport between device spoolers and the backend.
 
-Sits exactly where the network would: the
-:class:`repro.monitoring.uploader.UploadBatcher` calls it like any
-transport, and it forwards (or mangles, drops, duplicates, reorders,
-or refuses) payloads to the real backend callable.
+Sits exactly where the network would: each
+:class:`repro.monitoring.uploader.UploadBatcher` calls its
+:meth:`ChaosTransport.for_sender` channel like any transport, and the
+transport forwards (or mangles, drops, duplicates, reorders, or
+refuses) payloads to the real backend callable.
 
-Fault draws come from seeded streams, so a chaos run is
+Fault draws come from seeded per-sender streams: each sender's
+payloads draw from ``(chaos seed, sender)``, so a chaos run is
 bit-reproducible and two arms of a paired experiment see the same
-fault sequence.  There are two stream disciplines:
-
-* **per-sender** (:meth:`ChaosTransport.send` with a ``sender``, or a
-  :meth:`ChaosTransport.for_sender` channel): each sender's payloads
-  draw from ``(chaos seed, sender)``.  A device's fault fate then
-  depends only on its own send sequence — not on how other devices'
-  sends interleave — which is what lets sharded runs (one transport
-  per shard) injure a given device's uploads identically regardless of
-  worker count.  The telemetry pipeline uses this discipline.
-* **shared** (calling the transport directly, or ``sender=None``): one
-  RNG in arrival order across all senders — the historical behaviour,
-  kept for direct users of the transport.  This was the one place a
-  shared :class:`random.Random` crossed device boundaries; sharded
-  execution is why it is no longer the pipeline default.
+fault sequence.  A device's fault fate depends only on its own send
+sequence — not on how other devices' sends interleave — which is what
+lets sharded runs (one transport per shard) injure a given device's
+uploads identically regardless of worker count.
 
 Fault semantics match real uplinks:
 
@@ -76,9 +68,6 @@ class ChaosTransport:
         self.config = config
         #: Current virtual time; outage windows are judged against it.
         self.now = now
-        #: The shared (arrival-order) fault stream, used when a send
-        #: carries no sender identity.
-        self.rng = random.Random(f"chaos-transport:{config.seed}")
         self._sender_rngs: dict[object, random.Random] = {}
         self.sends = 0
         self.delivered = 0
@@ -105,16 +94,9 @@ class ChaosTransport:
 
     # -- the transport protocol ----------------------------------------------
 
-    def __call__(self, payload: bytes) -> None:
-        """Send one payload; raising means the sender saw no ack."""
-        self.send(payload)
-
-    def send(self, payload: bytes, sender: object | None = None) -> None:
-        """Send one payload, drawing faults from ``sender``'s stream.
-
-        With ``sender=None`` the draws come from the shared
-        arrival-order stream (legacy behaviour).
-        """
+    def send(self, payload: bytes, sender: object) -> None:
+        """Send one payload, drawing faults from ``sender``'s stream;
+        raising means the sender saw no ack."""
         self.sends += 1
         registry = get_registry()
         if registry.enabled:
@@ -173,9 +155,7 @@ class ChaosTransport:
 
     # -- internals -----------------------------------------------------------
 
-    def _rng_for(self, sender: object | None) -> random.Random:
-        if sender is None:
-            return self.rng
+    def _rng_for(self, sender: object) -> random.Random:
         rng = self._sender_rngs.get(sender)
         if rng is None:
             rng = random.Random(
@@ -199,9 +179,7 @@ class ChaosTransport:
             registry.inc("chaos_transport_delivered_total")
         return len(held)
 
-    def _deliver(self, payload: bytes,
-                 rng: random.Random | None = None) -> None:
-        rng = rng or self.rng
+    def _deliver(self, payload: bytes, rng: random.Random) -> None:
         registry = get_registry()
         if rng.random() < self.config.corrupt_rate:
             self.corrupted += 1

@@ -8,10 +8,10 @@
     python -m repro ab      [--devices N] [--seed S] [--workers W] [...]
     python -m repro timp    [--devices N] [--seed S] [--workers W] [...]
     python -m repro analyze PATH
-    python -m repro serve   [--host H] [--port P] [--queue-capacity N]
-                            [--policy P] [--checkpoint PATH] [--resume]
-                            [--store-dir DIR] [--seal-records N]
-                            [--disk-chaos RATE]
+    python -m repro serve   --store-dir DIR [--host H] [--port P]
+                            [--queue-capacity N] [--policy P]
+                            [--checkpoint PATH] [--resume]
+                            [--seal-records N] [--disk-chaos RATE]
     python -m repro query   HOST:PORT {stats,isp_bs,transitions,summary}
                             [--json] [--timeout S]
     python -m repro scrub   DIR [--no-repair] [--json PATH] [--strict]
@@ -37,12 +37,11 @@ and, on SIGTERM/SIGINT, drains the admission queue, writes the
 ``--checkpoint`` snapshot, and exits zero; ``--resume`` restores a
 previous drain checkpoint (ingest counters and dedup state, admission
 accounting with its shed identities, and any payloads that were still
-queued).  With ``--store-dir`` accepted records live
-in a durable WAL-backed segment store (:mod:`repro.store`) instead of
-server memory, and the drain checkpoint shrinks to the unsealed tail;
-``scrub`` verifies such a store's checksums, quarantines damaged
-segments, repairs from the journal, and reports anything
-unrecoverable.
+queued).  Accepted records live in the durable WAL-backed segment
+store (:mod:`repro.store`) rooted at ``--store-dir``, so the drain
+checkpoint holds no accepted records; ``scrub`` verifies such a
+store's checksums, quarantines damaged segments, repairs from the
+journal, and reports anything unrecoverable.
 
 ``query`` asks a *running* service for a live analysis answer over
 everything ingested so far (:mod:`repro.serve.query`): ``stats``,
@@ -344,23 +343,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"accepted={server.accepted} "
               f"duplicates={server.duplicates} "
               f"quarantined={server.quarantined}", flush=True)
-        if server.store is not None:
-            stats = server.store.summary()
-            print(f"store segments={stats['segments']} "
-                  f"sealed={stats['sealed_records']} "
-                  f"tail={stats['tail_records']}", flush=True)
-            if args.analysis_out:
-                query = server.store.fold_analysis()
-                payload = {
-                    "analysis": query.block,
-                    "summary": analysis_summary(query.block),
-                    "skipped_segments": query.skipped,
-                }
-                Path(args.analysis_out).write_text(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                )
-                print(f"analysis written to {args.analysis_out}",
-                      flush=True)
+        stats = server.store.summary()
+        print(f"store segments={stats['segments']} "
+              f"sealed={stats['sealed_records']} "
+              f"tail={stats['tail_records']}", flush=True)
+        if args.analysis_out:
+            query = server.store.fold_analysis()
+            payload = {
+                "analysis": query.block,
+                "summary": analysis_summary(query.block),
+                "skipped_segments": query.skipped,
+            }
+            Path(args.analysis_out).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            )
+            print(f"analysis written to {args.analysis_out}",
+                  flush=True)
         if result.checkpoint_path:
             print(f"checkpoint written to {result.checkpoint_path}",
                   flush=True)
@@ -562,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="max wait for the queue to flush on "
                             "SIGTERM (default 30s)")
-    serve.add_argument("--store-dir", default=None, metavar="DIR",
+    serve.add_argument("--store-dir", required=True, metavar="DIR",
                        help="persist accepted records in a durable "
                             "segment store rooted at DIR (WAL + "
                             "checksummed sealed segments; see "
@@ -580,9 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--disk-chaos-seed", type=int, default=0,
                        help="deterministic seed for --disk-chaos")
     serve.add_argument("--analysis-out", default=None, metavar="PATH",
-                       help="with --store-dir: write the store's "
-                            "folded analysis block as JSON after the "
-                            "drain")
+                       help="write the store's folded analysis "
+                            "block as JSON after the drain")
     serve.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="write the drain checkpoint here on "
                             "SIGTERM")

@@ -45,11 +45,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 
-from repro.analysis.columnar import (
+# SegmentPartial is re-exported: the layer benchmark imports it here.
+from repro.analysis.columnar import (  # noqa: F401
     SegmentPartial,
-    _Fold,
     analysis_summary,
 )
 from repro.obs import LATENCY_BUCKETS_S, get_registry
@@ -91,12 +90,10 @@ class FoldResult:
 
 
 class QueryEngine:
-    """Folds analysis blocks over a live :class:`IngestionServer`.
-
-    Store-backed servers fold through one :class:`FoldState` the
-    engine keeps for its lifetime; legacy in-memory servers fold
-    ``server.records`` directly.  Single-threaded by contract: only
-    the query worker calls :meth:`fold`.
+    """Folds analysis blocks over a live :class:`IngestionServer`'s
+    segment store, through one :class:`FoldState` the engine keeps for
+    its lifetime.  Single-threaded by contract: only the query worker
+    calls :meth:`fold`.
     """
 
     def __init__(self, server) -> None:
@@ -111,8 +108,6 @@ class QueryEngine:
 
     def fold(self) -> FoldResult:
         store = self.server.store
-        if store is None:
-            return self._fold_memory()
         snapshot = store.query_snapshot()
         folded = store.fold_snapshot(snapshot, self.state)
         registry = get_registry()
@@ -142,25 +137,6 @@ class QueryEngine:
             cache_hits=folded.cache_hits,
             cache_misses=folded.cache_misses,
             rows_folded=folded.rows_folded,
-        )
-
-    def _fold_memory(self) -> FoldResult:
-        # list() takes a consistent prefix snapshot: the worker only
-        # ever appends, so records beyond the copy are simply "after
-        # the watermark".
-        records = list(self.server.records)
-        fold = _Fold()
-        fold.add(SegmentPartial.from_rows(records, attrgetter))
-        return FoldResult(
-            block=fold.block(),
-            watermark={
-                "mode": "memory",
-                "n_records": len(records),
-                "folded_records": len(records),
-                "n_segments": 0,
-                "n_tail": 0,
-            },
-            rows_folded=len(records),
         )
 
     def answer(self, kind: str) -> dict:

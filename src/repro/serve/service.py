@@ -27,7 +27,7 @@ behind a threaded TCP front end and keeps its promises under overload:
   silently, and one poison payload cannot wedge the queue behind it.
 * **one query worker thread** — answers ``stats`` / ``isp_bs`` /
   ``transitions`` / ``summary`` frames from a snapshot-consistent
-  fold over the server's records (see :mod:`repro.serve.query`)
+  fold over the segment store (see :mod:`repro.serve.query`)
   while ingest continues; query load beyond ``query_queue_capacity``
   is shed with a retry signal instead of competing with ingest.
 * **graceful drain** — :meth:`IngestService.stop` stops accepting,
@@ -82,6 +82,9 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 class ServeConfig:
     """Everything the service needs to run; one frozen block."""
 
+    #: Root of the durable segment store (``repro.store``) that keeps
+    #: every accepted record.
+    store_dir: str
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (the bound port is on the service).
     port: int = 0
@@ -101,9 +104,6 @@ class ServeConfig:
     #: How long :meth:`IngestService.stop` waits for the queue to
     #: drain before checkpointing whatever is left.
     drain_timeout_s: float = 30.0
-    #: Root of the durable segment store (``repro.store``); ``None``
-    #: keeps records in server memory (the legacy mode).
-    store_dir: str | None = None
     #: Rows the store's one unsealed tail holds before it seals.
     store_seal_records: int = 512
     #: Disk-fault injection rate for the store's I/O (0 disables; see
@@ -144,9 +144,7 @@ class ServeConfig:
             raise ValueError("ingest retry limit must be >= 1")
 
     def build_store(self):
-        """The configured :class:`~repro.store.SegmentStore`, or None."""
-        if not self.store_dir:
-            return None
+        """The configured :class:`~repro.store.SegmentStore`."""
         from repro.chaos.disk import DiskChaos, DiskChaosConfig
         from repro.store import SegmentStore
 
@@ -182,16 +180,14 @@ class DrainResult:
 class IngestService:
     """A threaded TCP ingest front end over one IngestionServer."""
 
-    def __init__(self, server: IngestionServer | None = None,
-                 config: ServeConfig | None = None) -> None:
-        self.config = config or ServeConfig()
+    def __init__(self, config: ServeConfig,
+                 server: IngestionServer | None = None) -> None:
+        self.config = config
         self.server = server if server is not None else IngestionServer()
-        # A configured store attaches here unless the server already
+        # The configured store attaches here unless the server already
         # brought one (the resume path reattaches before we run).
         if self.server.store is None:
-            store = self.config.build_store()
-            if store is not None:
-                self.server.attach_store(store)
+            self.server.attach_store(config.build_store())
         self.queue = AdmissionQueue(
             capacity=self.config.queue_capacity,
             policy=self.config.policy,
@@ -292,7 +288,7 @@ class IngestService:
             self._close_silently(conn)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        if drain and self.server.store is not None:
+        if drain:
             # Seal every tail so the on-disk store is compact.  A
             # fault here is safe to absorb: the WAL already owns the
             # tail rows, so a failed seal only defers compaction.
@@ -364,17 +360,18 @@ class IngestService:
 
     @classmethod
     def resume(cls, path: str | os.PathLike,
-               config: ServeConfig | None = None) -> "IngestService":
-        """Rebuild a service from a drain checkpoint (not started)."""
+               config: ServeConfig) -> "IngestService":
+        """Rebuild a service from a drain checkpoint (not started).
+
+        The store configured for this process is reattached (it may
+        carry disk chaos), so the journal-proven records survive the
+        hop.
+        """
         snapshot = json.loads(Path(path).read_text())
-        # A store configured for this process wins (it may carry disk
-        # chaos); otherwise the checkpoint's store description is
-        # reattached, so the journal-proven records survive the hop.
-        store = config.build_store() if config is not None else None
         service = cls(
+            config,
             server=IngestionServer.restore(snapshot["server"],
-                                           store=store),
-            config=config,
+                                           store=config.build_store()),
         )
         service.queue.restore([
             (base64.b64decode(entry["payload"]), entry["sender"])

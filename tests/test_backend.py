@@ -16,6 +16,7 @@ from repro.dataset.store import Dataset
 from repro.monitoring.uploader import UploadBatcher
 from repro.obs import SUM_SCALE
 from repro.serve.query import STATS_FIELDS, QueryEngine
+from repro.store import SegmentStore
 
 
 def record_dict(device_id=1, duration=30.0, failure_type="DATA_STALL",
@@ -30,16 +31,29 @@ def record_dict(device_id=1, duration=30.0, failure_type="DATA_STALL",
     )
 
 
+def stored_server(root) -> IngestionServer:
+    """A server whose accepted records go to a segment store at
+    ``root``."""
+    server = IngestionServer()
+    server.attach_store(SegmentStore(root))
+    return server
+
+
+def accepted_records(server) -> list:
+    """The records ``server``'s store owns, in acceptance order."""
+    return server.store.dataset().failures
+
+
 class TestIngestionServer:
     def compress(self, data: dict) -> bytes:
         return zlib.compress(json.dumps(data, sort_keys=True,
                                         default=str).encode())
 
-    def test_accepts_valid_uploads(self):
-        server = IngestionServer()
+    def test_accepts_valid_uploads(self, tmp_path):
+        server = stored_server(tmp_path)
         server.receive(self.compress(record_dict()))
         assert server.accepted == 1
-        assert server.records[0].duration_s == 30.0
+        assert accepted_records(server)[0].duration_s == 30.0
 
     def test_deduplicates_retried_uploads(self):
         server = IngestionServer()
@@ -57,10 +71,10 @@ class TestIngestionServer:
         assert server.malformed == 3
         assert server.accepted == 0
 
-    def test_streaming_aggregates_match(self):
+    def test_streaming_aggregates_match(self, tmp_path):
         """The server keeps no aggregates of its own: the live answer
         over what it accepted is the offline block, exactly."""
-        server = IngestionServer()
+        server = stored_server(tmp_path)
         durations = [10.0, 20.0, 30.0, 40.0]
         for index, duration in enumerate(durations):
             server.receive(self.compress(
@@ -71,11 +85,12 @@ class TestIngestionServer:
         hist = stats["duration_hist_by_type"]["DATA_STALL"]
         assert hist["count"] == 4
         assert hist["sum_scaled"] == 100 * SUM_SCALE
-        offline = compute_analysis_block(Dataset(failures=server.records))
+        offline = compute_analysis_block(
+            Dataset(failures=accepted_records(server)))
         assert stats == {key: offline[key] for key in STATS_FIELDS}
 
-    def test_duration_share_across_types(self):
-        server = IngestionServer()
+    def test_duration_share_across_types(self, tmp_path):
+        server = stored_server(tmp_path)
         server.ingest_record(record_dict(device_id=1, duration=90.0))
         server.ingest_record(record_dict(
             device_id=2, duration=10.0,
@@ -98,7 +113,7 @@ class TestIngestionServer:
         assert server.accepted == 5
         assert server.bytes_received == flushed
 
-    def test_receive_many_judges_each_payload_on_its_own(self):
+    def test_receive_many_judges_each_payload_on_its_own(self, tmp_path):
         """A batch is accounted payload by payload exactly as the same
         payloads sent one at a time — a duplicate inside it included."""
         good = [record_dict(device_id=i, start=float(i)) for i in range(3)]
@@ -110,17 +125,20 @@ class TestIngestionServer:
             self.compress({"nope": 1}), self.compress(bad),
             self.compress(good[2]),
         ]
-        batched, single = IngestionServer(), IngestionServer()
+        batched = stored_server(tmp_path / "batched")
+        single = stored_server(tmp_path / "single")
         batched.receive_many(payloads)
         for payload in payloads:
             single.receive(payload)
         assert batched.summary() == single.summary()
         assert batched.summary()["accepted"] == 3.0
         assert batched.summary()["duplicates"] == 1.0
-        assert batched.records == single.records
+        assert accepted_records(batched) == accepted_records(single)
         assert batched.quarantine == single.quarantine
         assert batched.accepted_keys == single.accepted_keys
-        assert batched.checkpoint() == single.checkpoint()
+        # The two stores differ only in where they live.
+        assert ({**batched.checkpoint(), "store": None}
+                == {**single.checkpoint(), "store": None})
 
     def test_faulted_batch_commit_accounts_nothing(self):
         """The store commit comes before any accounting, so a batch
@@ -246,13 +264,12 @@ class TestIngestionServer:
             restored.receive(self.compress(data))
         assert restored.accepted == 10
         assert restored.duplicates == 6
-        assert ([r.to_dict() for r in restored.records]
-                == [r.to_dict() for r in server.records])
+        assert restored.accepted_keys == server.accepted_keys
 
     def test_checkpoint_restore_round_trip_is_exact(self):
         """Restore is lossless for everything the snapshot carries:
-        the records, the dedup set, the counters, availability and the
-        eviction counter — checked field for field."""
+        the dedup set, the counters, availability and the eviction
+        counter — checked field for field."""
         rng = random.Random(41)
         originals = [
             record_dict(
@@ -279,8 +296,6 @@ class TestIngestionServer:
         assert restored.accepted_keys == server.accepted_keys
         assert restored.summary() == server.summary()
         assert restored.quarantine_evicted == 3
-        assert ([r.to_dict() for r in restored.records]
-                == [r.to_dict() for r in server.records])
         # And the restored server *behaves* identically: still down,
         # and once up, pre-snapshot records dedup instead of recount.
         with pytest.raises(ServiceUnavailable):

@@ -23,6 +23,7 @@ from repro.fleet.simulator import FleetSimulator
 from repro.monitoring.uploader import UploadBatcher
 from repro.network.topology import TopologyConfig
 from repro.serve.query import QueryEngine
+from repro.store import SegmentStore
 
 
 def make_record(device_id=1, start=100.0, duration=30.0) -> FailureRecord:
@@ -99,8 +100,9 @@ class TestChaosTransport:
     def test_lossless_passthrough(self):
         received = []
         transport = ChaosTransport(received.append, ChaosConfig())
+        send = transport.for_sender(0)
         for index in range(10):
-            transport(compress({"n": index}))
+            send(compress({"n": index}))
         assert len(received) == 10
         assert transport.delivered == 10
         assert transport.sends == 10
@@ -109,8 +111,9 @@ class TestChaosTransport:
         received = []
         transport = ChaosTransport(received.append,
                                    ChaosConfig(drop_rate=1.0))
+        send = transport.for_sender(0)
         with pytest.raises(PayloadDropped):
-            transport(b"payload")
+            send(b"payload")
         assert transport.dropped == 1
         assert received == []
 
@@ -118,7 +121,8 @@ class TestChaosTransport:
         received = []
         transport = ChaosTransport(received.append,
                                    ChaosConfig(duplicate_rate=1.0))
-        transport(b"payload")
+        send = transport.for_sender(0)
+        send(b"payload")
         assert received == [b"payload", b"payload"]
         assert transport.duplicated == 1
 
@@ -126,8 +130,9 @@ class TestChaosTransport:
         server = IngestionServer()
         transport = ChaosTransport(server.receive,
                                    ChaosConfig(corrupt_rate=1.0))
+        send = transport.for_sender(0)
         payload = compress(make_record().to_dict())
-        transport(payload)  # acked: no exception
+        send(payload)  # acked: no exception
         assert server.malformed == 1
         assert server.accepted == 0
         assert transport.corrupted_payloads == [payload]
@@ -137,13 +142,14 @@ class TestChaosTransport:
         transport = ChaosTransport(
             received.append, ChaosConfig(outages=((100.0, 200.0),))
         )
+        send = transport.for_sender(0)
         transport.advance(50.0)
-        transport(b"before")
+        send(b"before")
         transport.advance(150.0)
         with pytest.raises(BackendUnavailable):
-            transport(b"during")
+            send(b"during")
         transport.advance(200.0)  # window end is exclusive
-        transport(b"after")
+        send(b"after")
         assert received == [b"before", b"after"]
         assert transport.outage_rejections == 1
 
@@ -157,7 +163,8 @@ class TestChaosTransport:
         received = []
         config = ChaosConfig(reorder_rate=1.0)
         transport = ChaosTransport(received.append, config)
-        transport(b"first")  # held, but acked
+        send = transport.for_sender(0)
+        send(b"first")  # held, but acked
         assert received == []
         assert transport.held_payloads == (b"first",)
         # Force the next send through: a fresh transport rng draw will
@@ -169,8 +176,9 @@ class TestChaosTransport:
         server = IngestionServer()
         transport = ChaosTransport(server.receive,
                                    ChaosConfig(reorder_rate=1.0))
+        send = transport.for_sender(0)
         payload = compress(make_record().to_dict())
-        transport(payload)
+        send(payload)
         server.take_down()
         with pytest.raises(Exception):
             transport.flush_held()
@@ -185,10 +193,11 @@ class TestChaosTransport:
             config = ChaosConfig(seed=99, drop_rate=0.4,
                                  duplicate_rate=0.3)
             transport = ChaosTransport(received.append, config)
+            send = transport.for_sender(0)
             outcomes = []
             for index in range(50):
                 try:
-                    transport(bytes([index]))
+                    send(bytes([index]))
                     outcomes.append("ack")
                 except PayloadDropped:
                     outcomes.append("drop")
@@ -282,11 +291,12 @@ class TestTelemetryPipeline:
         assert result.report.ok
         assert result.report.accepted == result.report.emitted
 
-    def test_dedup_holds_under_duplication(self):
+    def test_dedup_holds_under_duplication(self, tmp_path):
         dataset = make_dataset(n_devices=12, per_device=6)
         chaos = ChaosConfig(seed=8, duplicate_rate=0.5)
-        result = run_telemetry_pipeline(dataset, chaos)
-        server = result.server
+        server = IngestionServer()
+        server.attach_store(SegmentStore(tmp_path / "store"))
+        result = run_telemetry_pipeline(dataset, chaos, server)
         assert server.duplicates > 0
         assert server.accepted == result.report.emitted
         assert (QueryEngine(server).fold().block["n_failures"]

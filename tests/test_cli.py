@@ -105,7 +105,7 @@ class TestCommands:
 
 class TestServe:
     def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
+        args = build_parser().parse_args(["serve", "--store-dir", "s"])
         assert args.port == 0
         assert args.policy == "reject-newest"
         assert args.queue_capacity == 1024
@@ -113,11 +113,18 @@ class TestServe:
 
     def test_serve_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--policy",
-                                       "drop-everything"])
+            build_parser().parse_args(["serve", "--store-dir", "s",
+                                       "--policy", "drop-everything"])
 
-    def test_serve_resume_requires_checkpoint(self, capsys):
-        assert main(["serve", "--resume"]) == 2
+    def test_serve_requires_a_store_dir(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve"])
+        assert exited.value.code == 2
+        assert "--store-dir" in capsys.readouterr().err
+
+    def test_serve_resume_requires_checkpoint(self, tmp_path, capsys):
+        assert main(["serve", "--resume",
+                     "--store-dir", str(tmp_path / "store")]) == 2
         assert "--resume requires --checkpoint" in (
             capsys.readouterr().err
         )
@@ -139,7 +146,8 @@ class TestServe:
         checkpoint = tmp_path / "serve.ckpt"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--checkpoint", str(checkpoint)],
+             "--checkpoint", str(checkpoint),
+             "--store-dir", str(tmp_path / "store")],
             env=dict(os.environ, PYTHONPATH="src"), cwd=repo_root,
             text=True, stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,

@@ -1,6 +1,6 @@
 """``DiskIO`` is the one place the program changes a durable file.
 
-Four guards:
+Five guards:
 
 * a source scan: no module under ``src/repro`` but ``chaos/disk.py``
   renames, deletes, truncates, fsyncs or makes a temp file itself;
@@ -11,7 +11,10 @@ Four guards:
   so a crash mid-append cannot swallow the next fault;
 * ``DiskChaos.write_atomic`` killed at each step of a damaged segment
   write — before the temp file, after it, after the rename — leaves a
-  store whose repairing scrub and drain explain every ledger line.
+  store whose repairing scrub and drain explain every ledger line;
+* a damaged journal append killed before its bytes land, or after them
+  but before its ledger line, leaves no ledger line scrub cannot
+  explain.
 """
 
 from __future__ import annotations
@@ -208,3 +211,50 @@ class TestCrashInsideWriteAtomic:
         assert disk.ok, disk.render()
         assert [f["classified_as"] for f in disk.faults] == verdicts
         assert report.ok and reopened.n_sealed_records == 4
+
+
+class TestCrashInsideJournalAppend:
+    """A damaged journal append killed before its bytes land, and after
+    them but before its ledger line.  The ledger line comes last, so
+    neither death leaves a fault whose damage is missing: the first
+    leaves no damage and no line, the second damage that scrub repairs
+    and no line."""
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-line", "batch"])
+    @pytest.mark.parametrize("kind", ["journal-torn", "journal-flip"])
+    @pytest.mark.parametrize("dies_in, damaged", [
+        pytest.param("journal", False, id="before-bytes"),
+        pytest.param("ledger", True, id="before-ledger-line"),
+    ])
+    def test_every_ledger_line_is_explained(self, tmp_path, monkeypatch,
+                                            rows, kind, dies_in, damaged):
+        root, ledger = tmp_path / "store", tmp_path / "ledger.jsonl"
+        chaos = DiskChaos(DiskChaosConfig(seed=5), ledger=ledger)
+        store = SegmentStore(root, seal_records=100, io=chaos)
+        records = synthetic_records(2, 2, seed=3)
+        store.append_many([(row, None) for row in records[:1]])
+        chaos.force_next(kind)
+        dying_path = {"journal": store.journal_path,
+                      "ledger": ledger}[dies_in]
+        real_append = DiskIO._append
+
+        def append(path, blob, heal=True):
+            if Path(path) == dying_path:
+                raise Died
+            real_append(path, blob, heal)
+
+        with monkeypatch.context() as dying:
+            dying.setattr(DiskIO, "_append", staticmethod(append))
+            with pytest.raises(Died):
+                store.append_many([(row, None)
+                                   for row in records[1:1 + rows]])
+
+        reopened = SegmentStore(root, seal_records=100)
+        report = reopened.scrub(repair=True)
+        injected = DiskChaos.read_ledger(ledger)
+        disk = reconcile_disk(injected, report)
+        assert disk.ok, disk.render()
+        assert injected == []
+        assert bool(report.journal_damaged_lines
+                    or report.journal_truncated_bytes) == damaged
+        assert report.ok and records[0] in reopened.tail_rows()

@@ -82,7 +82,8 @@ def test_cli_check_accepts_real_invocations(tmp_path):
         "$ PYTHONPATH=src python -m repro study --devices 2000 \\\n"
         "      --workers 4 --engine batch --save study.jsonl.gz\n"
         "repro analyze study.jsonl.gz | head\n"
-        "python -m repro serve --checkpoint serve.ckpt --resume\n"
+        "python -m repro serve --store-dir store --checkpoint serve.ckpt "
+        "--resume\n"
         "python benchmarks/bench_parallel.py --devices 10  # not repro\n"
         "```\n",
         encoding="utf-8",

@@ -251,24 +251,3 @@ class TestPerSenderTransport:
         a_first = self.fates(["a"] * 6 + ["b"] * 6, config)
         interleaved = self.fates(["a", "b"] * 6, config)
         assert a_first == interleaved
-
-    def test_shared_stream_preserved_for_direct_calls(self):
-        config = ChaosConfig(seed=13, drop_rate=0.4)
-        outcomes = []
-        transport = ChaosTransport(lambda p: None, config)
-        for i in range(8):
-            try:
-                transport(f"p{i}".encode())
-                outcomes.append("ok")
-            except PayloadDropped:
-                outcomes.append("dropped")
-        # Arrival-order stream: a fresh transport replays identically.
-        transport2 = ChaosTransport(lambda p: None, config)
-        replay = []
-        for i in range(8):
-            try:
-                transport2(f"p{i}".encode())
-                replay.append("ok")
-            except PayloadDropped:
-                replay.append("dropped")
-        assert outcomes == replay

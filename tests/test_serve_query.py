@@ -208,9 +208,10 @@ class TestQueryProtocol:
             client.close()
             server.close()
 
-    def test_frame_limit_above_magic_is_rejected(self):
+    def test_frame_limit_above_magic_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ServeConfig(max_frame_bytes=protocol.MAX_FRAME_LIMIT + 1)
+            ServeConfig(store_dir=str(tmp_path / "store"),
+                        max_frame_bytes=protocol.MAX_FRAME_LIMIT + 1)
 
 
 class TestEngineExactness:
@@ -258,22 +259,6 @@ class TestEngineExactness:
         assert canonical(fold.block) == canonical(
             compute_analysis_block(store.dataset())
         )
-
-    def test_memory_fold_matches_offline_block(self):
-        from repro.backend.ingest import IngestionServer
-
-        server = IngestionServer()
-        for record in mixed_records():
-            server.ingest_record(dict(record))
-        engine = QueryEngine(server)
-        fold = engine.fold()
-        from repro.dataset.store import Dataset
-
-        offline = compute_analysis_block(
-            Dataset(failures=list(server.records))
-        )
-        assert canonical(fold.block) == canonical(offline)
-        assert fold.watermark["mode"] == "memory"
 
     def test_summary_answer_matches_offline_summary(self, tmp_path):
         store = store_with_records(tmp_path, mixed_records())
@@ -902,7 +887,7 @@ class TestServiceQueries:
         assert snapshot["counters"]["query_cache_hits_total"] > 0
 
     def test_oversized_result_answers_error_not_a_dead_handler(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         """An answer too large to frame is the worker's error to
         report: the client reads ``RESULT_ERROR`` and the connection
@@ -917,7 +902,8 @@ class TestServiceQueries:
         monkeypatch.setattr(protocol, "MAX_RESULT_BYTES", 4096)
         registry = ThreadSafeRegistry()
         with use_registry(registry):
-            service = IngestService().start()
+            service = IngestService(ServeConfig(
+                store_dir=str(tmp_path / "store"))).start()
             engine = service.query_plane.engine = Engine()
             try:
                 with QueryClient(*service.address) as client:
@@ -983,10 +969,11 @@ class TestServiceQueries:
             {key: offline[key] for key in STATS_FIELDS}
         )
 
-    def test_draining_service_answers_unavailable(self):
+    def test_draining_service_answers_unavailable(self, tmp_path):
         registry = ThreadSafeRegistry()
         with use_registry(registry):
-            service = IngestService().start()
+            service = IngestService(ServeConfig(
+                store_dir=str(tmp_path / "store"))).start()
             try:
                 # Connect while the service still accepts, then flip
                 # it into drain: the handler is already blocked in its

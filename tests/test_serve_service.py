@@ -53,9 +53,14 @@ def wait_until(predicate, timeout=5.0, interval=0.01):
     return bool(predicate())
 
 
+def config_for(root, **settings) -> ServeConfig:
+    """A service config whose segment store lives under ``root``."""
+    return ServeConfig(store_dir=str(root / "store"), **settings)
+
+
 @contextmanager
-def serving(config=None, server=None):
-    service = IngestService(server=server, config=config).start()
+def serving(config, server=None):
+    service = IngestService(config, server=server).start()
     try:
         yield service
     finally:
@@ -84,19 +89,20 @@ def blocked_ingest(service):
 
 
 def dataset(server):
-    """The accepted records as a sorted list of canonical JSON lines —
-    the byte-level basis for run-equivalence assertions."""
+    """The records the server's store accepted, as a sorted list of
+    canonical JSON lines — the byte-level basis for run-equivalence
+    assertions."""
     return sorted(
         json.dumps(record.to_dict(), sort_keys=True, default=str)
-        for record in server.records
+        for record in server.store.dataset().failures
     )
 
 
 class TestHappyPath:
-    def test_fleet_round_trip_reconciles_clean(self):
+    def test_fleet_round_trip_reconciles_clean(self, tmp_path):
         records = synthetic_records(n_devices=6, per_device=3)
         registry = ThreadSafeRegistry()
-        with use_registry(registry), serving() as service:
+        with use_registry(registry), serving(config_for(tmp_path)) as service:
             drive = drive_fleet(records, *service.address)
             drain_fleet(drive)
             assert wait_until(lambda: service.server.accepted == 18)
@@ -115,9 +121,9 @@ class TestHappyPath:
         assert any('stage="ingest"' in key for key in stages)
         assert any('stage="queue"' in key for key in stages)
 
-    def test_duplicate_sends_are_absorbed_by_dedup(self):
+    def test_duplicate_sends_are_absorbed_by_dedup(self, tmp_path):
         record = synthetic_records(1, 1)[0]
-        with serving() as service:
+        with serving(config_for(tmp_path)) as service:
             batcher = UploadBatcher(
                 transport=SocketTransport(*service.address, sender=1)
             )
@@ -130,8 +136,8 @@ class TestHappyPath:
                 and service.server.duplicates == 1
             )
 
-    def test_malformed_payloads_are_acked_and_quarantined(self):
-        with serving() as service:
+    def test_malformed_payloads_are_acked_and_quarantined(self, tmp_path):
+        with serving(config_for(tmp_path)) as service:
             acks = malformed_flood(*service.address, frames=5)
             assert acks == {"ok": 5}
             assert wait_until(
@@ -140,8 +146,8 @@ class TestHappyPath:
 
 
 class TestBackpressure:
-    def test_full_queue_acks_retry_after(self):
-        config = ServeConfig(queue_capacity=1, retry_after_s=2.0)
+    def test_full_queue_acks_retry_after(self, tmp_path):
+        config = config_for(tmp_path, queue_capacity=1, retry_after_s=2.0)
         with serving(config) as service:
             with blocked_ingest(service) as (entered, release):
                 filler = SocketTransport(*service.address, sender=100)
@@ -161,8 +167,8 @@ class TestBackpressure:
             filler.close()
             probe.close()
 
-    def test_batcher_folds_server_retry_after_into_backoff(self):
-        config = ServeConfig(queue_capacity=1, retry_after_s=2.0)
+    def test_batcher_folds_server_retry_after_into_backoff(self, tmp_path):
+        config = config_for(tmp_path, queue_capacity=1, retry_after_s=2.0)
         record = synthetic_records(1, 1)[0]
         with serving(config) as service:
             batcher = UploadBatcher(
@@ -200,8 +206,8 @@ class TestBackpressure:
 
 
 class TestProtection:
-    def test_oversized_payload_is_rejected_permanently(self):
-        config = ServeConfig(max_frame_bytes=64)
+    def test_oversized_payload_is_rejected_permanently(self, tmp_path):
+        config = config_for(tmp_path, max_frame_bytes=64)
         record = synthetic_records(1, 1)[0]
         with serving(config) as service:
             batcher = UploadBatcher(
@@ -221,23 +227,23 @@ class TestProtection:
         assert report.rejected == 1
         assert report.accepted == 0
 
-    def test_raw_oversized_frame_raises_payload_too_large(self):
-        config = ServeConfig(max_frame_bytes=64)
+    def test_raw_oversized_frame_raises_payload_too_large(self, tmp_path):
+        config = config_for(tmp_path, max_frame_bytes=64)
         with serving(config) as service:
             transport = SocketTransport(*service.address)
             with pytest.raises(PayloadTooLarge):
                 transport(b"x" * 65)
 
-    def test_slow_loris_connections_hit_the_read_deadline(self):
-        config = ServeConfig(read_deadline_s=0.2)
+    def test_slow_loris_connections_hit_the_read_deadline(self, tmp_path):
+        config = config_for(tmp_path, read_deadline_s=0.2)
         with serving(config) as service:
             closed = stalled_clients(*service.address, clients=3,
                                      wait_s=3.0)
             assert closed == 3
             assert wait_until(lambda: service.deadline_closes == 3)
 
-    def test_connection_cap_refuses_newcomers(self):
-        config = ServeConfig(max_connections=1, read_deadline_s=5.0)
+    def test_connection_cap_refuses_newcomers(self, tmp_path):
+        config = config_for(tmp_path, max_connections=1, read_deadline_s=5.0)
         with serving(config) as service:
             first = SocketTransport(*service.address, sender=1)
             first(b"keepalive")  # holds the only connection slot
@@ -252,8 +258,8 @@ class TestProtection:
 
 
 class TestBreaker:
-    def test_breaker_trips_serves_unavailable_and_recovers(self):
-        config = ServeConfig(breaker_threshold=2, breaker_reset_s=0.4)
+    def test_breaker_trips_serves_unavailable_and_recovers(self, tmp_path):
+        config = config_for(tmp_path, breaker_threshold=2, breaker_reset_s=0.4)
         records = synthetic_records(1, 2)
         registry = ThreadSafeRegistry()
         with use_registry(registry), serving(config) as service:
@@ -295,8 +301,8 @@ class TestBreaker:
 
 
 class TestOverloadPolicies:
-    def test_shed_oldest_losses_are_classified_not_mysteries(self):
-        config = ServeConfig(queue_capacity=2, policy="shed-oldest")
+    def test_shed_oldest_losses_are_classified_not_mysteries(self, tmp_path):
+        config = config_for(tmp_path, queue_capacity=2, policy="shed-oldest")
         records = synthetic_records(n_devices=4, per_device=1)
         keys = {record_identity(r) for r in records}
         with serving(config) as service:
@@ -327,9 +333,9 @@ class TestOverloadPolicies:
         assert report.accepted == 3
         assert report.server_shed == 1
 
-    def test_queued_payloads_reconcile_as_in_flight(self):
+    def test_queued_payloads_reconcile_as_in_flight(self, tmp_path):
         records = synthetic_records(n_devices=3, per_device=1)
-        with serving() as service:
+        with serving(config_for(tmp_path)) as service:
             with blocked_ingest(service) as (entered, release):
                 hold = SocketTransport(*service.address, sender=99)
                 hold(b"worker-bait")
@@ -360,7 +366,7 @@ class TestDrainResume:
     def test_graceful_drain_flushes_and_checkpoints(self, tmp_path):
         records = synthetic_records(n_devices=4, per_device=2)
         path = tmp_path / "serve.ckpt"
-        service = IngestService().start()
+        service = IngestService(config_for(tmp_path)).start()
         drive = drive_fleet(records, *service.address)
         drain_fleet(drive)
         assert wait_until(lambda: service.server.accepted == 8)
@@ -379,15 +385,15 @@ class TestDrainResume:
     ):
         records = synthetic_records(n_devices=5, per_device=3)
         # -- control: one uninterrupted run ----------------------------
-        with serving() as control:
+        with serving(config_for(tmp_path / "control")) as control:
             drive = drive_fleet(records, *control.address)
             drain_fleet(drive)
             assert wait_until(lambda: control.server.accepted == 15)
             control_dataset = dataset(control.server)
             drive.close()
         # -- interrupted: backend down, SIGTERM-style stop mid-run -----
-        config = ServeConfig(breaker_threshold=2, breaker_reset_s=60.0,
-                             drain_timeout_s=0.3)
+        config = config_for(tmp_path, breaker_threshold=2,
+                            breaker_reset_s=60.0, drain_timeout_s=0.3)
         path = tmp_path / "serve.ckpt"
         service = IngestService(config=config).start()
         service.server.take_down()
@@ -405,7 +411,7 @@ class TestDrainResume:
         assert report.accepted == 0
         assert report.in_flight == 15
         # -- resume and finish the run ---------------------------------
-        resumed = IngestService.resume(path, config=ServeConfig())
+        resumed = IngestService.resume(path, config=config_for(tmp_path))
         resumed.server.bring_up()
         resumed.start()
         drive = drive_fleet([], *resumed.address, drive=drive)
@@ -429,7 +435,7 @@ class TestPayloadOwnership:
         """A drain checkpoint carries the admission counters and shed
         identities; resume must restore them, or pre-restart sheds
         reconcile as unexplained losses."""
-        config = ServeConfig(queue_capacity=2, policy="shed-oldest")
+        config = config_for(tmp_path, queue_capacity=2, policy="shed-oldest")
         records = synthetic_records(n_devices=4, per_device=1)
         path = tmp_path / "serve.ckpt"
         service = IngestService(config=config).start()
@@ -457,11 +463,11 @@ class TestPayloadOwnership:
         assert (summary_after["depth_high_watermark"]
                 >= summary_before["depth_high_watermark"])
 
-    def test_drain_without_checkpoint_sheds_with_accounting(self):
+    def test_drain_without_checkpoint_sheds_with_accounting(self, tmp_path):
         """stop(drain=True) with no checkpoint path must turn queued
         payloads into accounted server-side sheds, not silent loss."""
-        config = ServeConfig(breaker_threshold=2, breaker_reset_s=60.0,
-                             drain_timeout_s=0.2)
+        config = config_for(tmp_path, breaker_threshold=2,
+                            breaker_reset_s=60.0, drain_timeout_s=0.2)
         records = synthetic_records(n_devices=5, per_device=1)
         registry = ThreadSafeRegistry()
         with use_registry(registry):
@@ -481,12 +487,14 @@ class TestPayloadOwnership:
         assert report.ok, report.render()
         assert report.server_shed == result.leftover
 
-    def test_poison_payload_is_quarantined_not_requeued_forever(self):
+    def test_poison_payload_is_quarantined_not_requeued_forever(
+        self, tmp_path
+    ):
         """One payload that deterministically faults downstream must
         exhaust its retry budget and be shed with identity accounting
         — not wedge every payload queued behind it."""
-        config = ServeConfig(ingest_retry_limit=3,
-                             breaker_threshold=100)
+        config = config_for(tmp_path, ingest_retry_limit=3,
+                            breaker_threshold=100)
         poison = synthetic_records(n_devices=1, per_device=1,
                                    seed=13)[0]
         good = synthetic_records(n_devices=3, per_device=1)
@@ -530,13 +538,13 @@ class TestPayloadOwnership:
         assert snapshot["counters"][
             'serve_shed_total{policy="poison"}'] == 1
 
-    def test_transient_outage_does_not_consume_retry_budget(self):
+    def test_transient_outage_does_not_consume_retry_budget(self, tmp_path):
         """ServiceUnavailable faults are the downstream's fault, not
         the payload's: an outage longer than the retry budget must not
         quarantine owned payloads as poison."""
-        config = ServeConfig(ingest_retry_limit=2,
-                             breaker_threshold=1000,
-                             breaker_reset_s=0.01)
+        config = config_for(tmp_path, ingest_retry_limit=2,
+                            breaker_threshold=1000,
+                            breaker_reset_s=0.01)
         record = synthetic_records(n_devices=1, per_device=1)[0]
         with serving(config) as service:
             service.server.take_down()
@@ -553,7 +561,7 @@ class TestPayloadOwnership:
             assert wait_until(lambda: service.server.accepted == 1)
             batcher.transport.close()
 
-    def test_connections_gauge_falls_back_to_zero_on_close(self):
+    def test_connections_gauge_falls_back_to_zero_on_close(self, tmp_path):
         """serve_connections_active is a level, not a high-water mark:
         it must fall when clients disconnect."""
         registry = ThreadSafeRegistry()
@@ -563,7 +571,7 @@ class TestPayloadOwnership:
                 "serve_connections_active"
             )
 
-        with use_registry(registry), serving() as service:
+        with use_registry(registry), serving(config_for(tmp_path)) as service:
             first = SocketTransport(*service.address, sender=1)
             second = SocketTransport(*service.address, sender=2)
             record_a, record_b = synthetic_records(2, 1)
@@ -580,13 +588,13 @@ class TestPayloadOwnership:
 
 
 class TestChaosSoak:
-    def test_chaotic_fleet_reconciles_with_zero_unexplained(self):
+    def test_chaotic_fleet_reconciles_with_zero_unexplained(self, tmp_path):
         chaos = ChaosConfig(
             seed=99, drop_rate=0.15, duplicate_rate=0.1,
             corrupt_rate=0.08, reorder_rate=0.05,
         )
         records = synthetic_records(n_devices=10, per_device=4)
-        with serving() as service:
+        with serving(config_for(tmp_path)) as service:
             drive = drive_fleet(records, *service.address, chaos=chaos)
             drain_fleet(drive)
             assert wait_until(lambda: service.queue.depth == 0)
@@ -656,7 +664,7 @@ class TestGroupCommit:
     def test_worker_commits_what_queued_as_one_batch(self, tmp_path):
         records = synthetic_records(n_devices=6, per_device=1)
         keys = [record_identity(r) for r in records]
-        config = ServeConfig(store_dir=str(tmp_path / "store"))
+        config = config_for(tmp_path)
         registry = ThreadSafeRegistry()
         with use_registry(registry), serving(config) as service:
             downstream = Downstream(service)
@@ -677,12 +685,12 @@ class TestGroupCommit:
                 f'serve_stage_seconds{{stage="{stage}"}}']
             assert hist["count"] == 6
 
-    def test_faulted_batch_is_retried_one_payload_at_a_time(self):
+    def test_faulted_batch_is_retried_one_payload_at_a_time(self, tmp_path):
         """A batch fault blames no payload: it goes back to the head
         in order, and the retry budget and poison quarantine then
         apply per payload exactly as for single appends."""
-        config = ServeConfig(ingest_retry_limit=3,
-                             breaker_threshold=100)
+        config = config_for(tmp_path, ingest_retry_limit=3,
+                            breaker_threshold=100)
         poison = synthetic_records(n_devices=1, per_device=1,
                                    seed=13)[0]
         good = synthetic_records(n_devices=4, per_device=1)
@@ -723,12 +731,12 @@ class TestGroupCommit:
         assert registry.snapshot()["counters"][
             "serve_poison_quarantined_total"] == 1
 
-    def test_outage_on_a_batch_consumes_no_budget(self):
+    def test_outage_on_a_batch_consumes_no_budget(self, tmp_path):
         """A budget of one would poison any payload charged a single
         fault; an outage over a whole batch must charge none."""
-        config = ServeConfig(ingest_retry_limit=1,
-                             breaker_threshold=1000,
-                             breaker_reset_s=0.01)
+        config = config_for(tmp_path, ingest_retry_limit=1,
+                            breaker_threshold=1000,
+                            breaker_reset_s=0.01)
         records = synthetic_records(n_devices=4, per_device=1)
         keys = [record_identity(r) for r in records]
         with serving(config) as service:
@@ -754,8 +762,7 @@ class TestGroupCommit:
     ):
         records = synthetic_records(n_devices=5, per_device=1)
         keys = [record_identity(r) for r in records]
-        config = ServeConfig(store_dir=str(tmp_path / "store"),
-                             drain_timeout_s=0.2)
+        config = config_for(tmp_path, drain_timeout_s=0.2)
         path = tmp_path / "serve.ckpt"
         service = IngestService(config=config).start()
         downstream = Downstream(service)
@@ -803,7 +810,7 @@ class TestGroupCommit:
                 self.atomic_writes.append((str(path), len(data)))
                 super().write_atomic(path, data)
 
-        service = IngestService()
+        service = IngestService(config_for(tmp_path))
         service.io = CountingIO()
         service.queue.offer(b"owned payload", sender=3)
         path = tmp_path / "deep" / "serve.ckpt"
@@ -818,5 +825,5 @@ class TestGroupCommit:
             (str(path), path.stat().st_size)]
         assert len(fsynced) == 1
         assert list(path.parent.iterdir()) == [path]  # no temp left
-        restored = IngestService.resume(path)
+        restored = IngestService.resume(path, config_for(tmp_path))
         assert restored.queue.depth == 1

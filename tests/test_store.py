@@ -361,10 +361,10 @@ class TestIngestionServerStore:
         server.attach_store(store)
         for r in records:
             server.ingest_record(dict(r))
-        assert server.records == []  # the store owns the records
+        assert len(set(store)) == len(records)  # the store owns them
         assert server.accepted == len(records)
         snapshot = server.checkpoint()
-        assert snapshot["records"] == []
+        assert "records" not in snapshot
         assert snapshot["seen"] == []  # all keys journal-proven
         assert snapshot["store"] == store.describe()
 
@@ -406,19 +406,39 @@ class TestIngestionServerStore:
         assert revived.duplicates == len(records)
         assert revived.store.fold_analysis().block == _direct_block(records)
 
-    def test_attach_store_migrates_existing_records(self, tmp_path):
-        records = _records()
+    def test_a_checkpoint_with_an_empty_records_list_restores(
+        self, tmp_path
+    ):
+        """Store-backed drain checkpoints once carried an empty
+        ``"records"`` list; they restore as ever."""
+        records = _records()[:12]
         server = IngestionServer()
-        for r in records[:5]:
+        server.attach_store(_store(tmp_path))
+        for r in records[:6]:
             server.ingest_record(dict(r))
-        assert len(server.records) == 5
-        store = _store(tmp_path)
-        server.attach_store(store)
-        assert server.records == []
-        assert len(set(store)) == 5
-        for r in records[:5]:
-            server.ingest_record(dict(r))
-        assert server.duplicates == 5
+        snapshot = json.loads(json.dumps(
+            {**server.checkpoint(), "records": []}))
+        revived = IngestionServer.restore(snapshot)
+        for r in records:
+            revived.ingest_record(dict(r))
+        assert (revived.accepted, revived.duplicates) == (12, 6)
+        assert revived.store.fold_analysis().block == _direct_block(records)
+
+    def test_a_checkpoint_holding_records_is_refused(self, tmp_path):
+        """A store-less serve once kept its acked records in the
+        checkpoint's ``"records"``; no store holds them, so restoring
+        would drop them silently.  It raises instead."""
+        records = _records()[:3]
+        snapshot = {
+            **IngestionServer().checkpoint(),
+            "records": records,
+            "accepted": len(records),
+            "seen": sorted(record_identity(r) for r in records),
+        }
+        for store in (None, _store(tmp_path)):
+            with pytest.raises(ValueError, match="in-memory records "
+                                                 "from a store-less"):
+                IngestionServer.restore(snapshot, store=store)
 
     def test_forget_keys_invites_reupload(self, tmp_path):
         """A key scrub loses leaves the store with its record, so the
@@ -460,11 +480,9 @@ class TestIngestionServerStore:
         duplicate."""
         records = _records()
         server = IngestionServer()
-        for r in records[:5]:  # memory mode first, then migrate
-            server.ingest_record(dict(r))
         store = _store(tmp_path)
         server.attach_store(store)
-        for r in records:
+        for r in records[:5] + records:
             server.ingest_record(dict(r))
         keys = {record_identity(r) for r in records}
         assert server._seen == set()
