@@ -38,6 +38,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +48,6 @@ from repro.analysis.columnar import (  # noqa: E402
     analysis_summary,
     compute_analysis_block,
 )
-from repro.chaos.config import ChaosConfig  # noqa: E402
 from repro.dataset.records import FailureRecord  # noqa: E402
 from repro.dataset.store import Dataset  # noqa: E402
 from repro.serve.client import (  # noqa: E402
@@ -55,9 +55,10 @@ from repro.serve.client import (  # noqa: E402
     TransportSignal,
 )
 from repro.serve.harness import (  # noqa: E402
+    SOCKET_CHAOS,
     ServeProcess,
-    drain_fleet,
-    drive_fleet,
+    SocketChannels,
+    socket_drive,
     synthetic_records,
 )
 from repro.serve.query import (  # noqa: E402
@@ -198,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     records = synthetic_records(args.devices, args.per_device,
                                 seed=args.seed)
     total = len(records)
+    chaos = replace(SOCKET_CHAOS, enabled=True, seed=args.seed, **CHAOS)
 
     with smoke_dir("query-soak-") as tmp_path:
         # -- control leg -----------------------------------------------
@@ -205,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
               "service, offline fold is the reference")
         ctrl = serve(tmp_path / "control.ckpt",
                      tmp_path / "control-store")
-        drive = drive_fleet(records, ctrl.host, ctrl.port,
-                            chaos=ChaosConfig(seed=args.seed, **CHAOS))
-        drain_fleet(drive)
+        drive = socket_drive(ctrl.host, ctrl.port, chaos)
+        drive.emit(records)
+        drive.drain()
         if drive.pending_payloads:
             fail("control fleet never drained its spools")
         time.sleep(0.3)
@@ -231,11 +233,11 @@ def main(argv: list[str] | None = None) -> int:
         soak = serve(ckpt, store_dir)
         poller = Poller()
         poller.start(soak.host, soak.port)
-        drive = drive_fleet(records, soak.host, soak.port,
-                            chaos=ChaosConfig(seed=args.seed, **CHAOS))
+        drive = socket_drive(soak.host, soak.port, chaos)
+        drive.emit(records)
         # A few flush rounds so answers land mid-stream, then SIGTERM
         # with spools still loaded.
-        drain_fleet(drive, rounds=6)
+        drive.drain(rounds=6)
         code, tail = soak.sigterm()
         poller.stop()
         if code != 0:
@@ -259,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             fail(f"resume leg did not load the checkpoint: "
                  f"{resumed.banner!r}")
         poller.start(resumed.host, resumed.port)
-        drive = drive_fleet([], resumed.host, resumed.port, drive=drive)
-        drain_fleet(drive)
+        drive.rebind(SocketChannels(resumed.host, resumed.port))
+        drive.drain()
         if drive.pending_payloads:
             fail("resumed fleet never drained its spools")
         deadline = time.monotonic() + 15.0

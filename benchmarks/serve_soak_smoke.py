@@ -32,21 +32,21 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.backend.ingest import IngestionServer  # noqa: E402
-from repro.chaos.config import ChaosConfig  # noqa: E402
-from repro.chaos.reconcile import reconcile  # noqa: E402
 from repro.dataset.records import record_identity  # noqa: E402
 from repro.dataset.store import Dataset  # noqa: E402
 from repro.serve.harness import (  # noqa: E402
+    SOCKET_CHAOS,
     ServeProcess,
+    SocketChannels,
     connection_storm,
-    drain_fleet,
-    drive_fleet,
+    socket_drive,
     stalled_clients,
     synthetic_records,
 )
@@ -67,10 +67,8 @@ def reconcile_checkpoint(drive, checkpoint: Path):
     server = IngestionServer.restore(snapshot["server"])
     records = sorted(server.store.dataset().failures,
                      key=lambda record: record_identity(record.to_dict()))
-    return reconcile(
-        drive.emitted, server, drive.batchers.values(),
-        transport=drive.chaos_transport, service=snapshot,
-    ), Dataset(failures=records).record_digest()
+    return (drive.reconcile(server, service=snapshot),
+            Dataset(failures=records).record_digest())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     records = synthetic_records(args.devices, args.per_device,
                                 seed=args.seed)
     total = len(records)
+    chaos = replace(SOCKET_CHAOS, enabled=True, seed=args.seed, **CHAOS)
 
     with smoke_dir("serve-soak-") as tmp_path:
         # -- control leg -----------------------------------------------
@@ -91,9 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         ctrl_ckpt = tmp_path / "control.ckpt"
         ctrl = ServeProcess(ctrl_ckpt, "--store-dir",
                             str(tmp_path / "control-store"))
-        drive = drive_fleet(records, ctrl.host, ctrl.port,
-                            chaos=ChaosConfig(seed=args.seed, **CHAOS))
-        drain_fleet(drive)
+        drive = socket_drive(ctrl.host, ctrl.port, chaos)
+        drive.emit(records)
+        drive.drain()
         if drive.pending_payloads:
             fail("control fleet never drained its spools")
         time.sleep(0.3)  # let the worker clear the admission queue
@@ -126,8 +125,8 @@ def main(argv: list[str] | None = None) -> int:
         if lorised != 5:
             fail(f"read deadline closed {lorised}/5 "
                  "stalled connections")
-        drive = drive_fleet(records, soak.host, soak.port,
-                            chaos=ChaosConfig(seed=args.seed, **CHAOS))
+        drive = socket_drive(soak.host, soak.port, chaos)
+        drive.emit(records)
         # No drain: spools are still loaded when the SIGTERM lands.
         code, tail = soak.sigterm()
         if code != 0:
@@ -153,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         if not any("resumed from" in line for line in resumed.banner):
             fail(f"resume leg did not load the checkpoint: "
                  f"{resumed.banner!r}")
-        drive = drive_fleet([], resumed.host, resumed.port, drive=drive)
-        drain_fleet(drive)
+        drive.rebind(SocketChannels(resumed.host, resumed.port))
+        drive.drain()
         if drive.pending_payloads:
             fail("resumed fleet never drained its spools")
         time.sleep(0.3)

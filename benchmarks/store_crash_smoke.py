@@ -46,8 +46,7 @@ from repro.chaos.disk import DiskChaos  # noqa: E402
 from repro.chaos.reconcile import reconcile_disk  # noqa: E402
 from repro.serve.harness import (  # noqa: E402
     ServeProcess,
-    drain_fleet,
-    drive_fleet,
+    socket_drive,
     synthetic_records,
 )
 from repro.store import ScrubReport, SegmentStore  # noqa: E402
@@ -87,8 +86,9 @@ def main(argv: list[str] | None = None) -> int:
         ctrl_analysis = tmp_path / "control-analysis.json"
         ctrl = serve(ctrl_store, tmp_path / "control.ckpt", 16,
                      "--analysis-out", str(ctrl_analysis))
-        drive = drive_fleet(records, ctrl.host, ctrl.port)
-        drain_fleet(drive)
+        drive = socket_drive(ctrl.host, ctrl.port)
+        drive.emit(records)
+        drive.drain()
         if drive.pending_payloads:
             fail("control fleet never drained its spools")
         time.sleep(0.3)  # let the worker clear the admission queue
@@ -109,11 +109,11 @@ def main(argv: list[str] | None = None) -> int:
         crash = serve(crash_store, tmp_path / "crash.ckpt", 8,
                       "--disk-chaos", str(args.chaos),
                       "--disk-chaos-seed", str(args.seed))
-        drive = drive_fleet(records, crash.host, crash.port,
-                            timeout_s=5.0)
+        drive = socket_drive(crash.host, crash.port, timeout_s=5.0)
+        drive.emit(records)
         # Push long enough that tails are sealing, then pull the plug
         # while payloads are still in flight.
-        drain_fleet(drive, rounds=12)
+        drive.drain(rounds=12)
         crash.sigkill()
         drive.close()
         ledger = DiskChaos.read_ledger(crash_store
@@ -152,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
         final_analysis = tmp_path / "final-analysis.json"
         resumed = serve(crash_store, tmp_path / "resume.ckpt", 8,
                         "--analysis-out", str(final_analysis))
-        drive = drive_fleet(records, resumed.host, resumed.port)
-        drain_fleet(drive)
+        drive = socket_drive(resumed.host, resumed.port)
+        drive.emit(records)
+        drive.drain()
         if drive.pending_payloads:
             fail("resumed fleet never drained its spools")
         time.sleep(0.3)

@@ -51,7 +51,12 @@ _REQUIRED_FIELDS = frozenset({
 QUARANTINE_CAPACITY = 256
 
 
-class ServiceUnavailable(RuntimeError):
+class NotAcked(RuntimeError):
+    """A send its receiver did not acknowledge: the payload is still the
+    sender's.  Every transport's failure signal derives from this."""
+
+
+class ServiceUnavailable(NotAcked):
     """The backend is down; the upload was not received (no ack)."""
 
 

@@ -30,7 +30,9 @@ from repro.chaos.reconcile import (
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.chaos.config": ("ChaosConfig",),
-    "repro.chaos.pipeline": ("TelemetryRunResult", "run_telemetry_pipeline"),
+    "repro.chaos.pipeline": (
+        "FleetDrive", "TelemetryRunResult", "run_telemetry_pipeline",
+    ),
     "repro.chaos.transport": (
         "BackendUnavailable",
         "ChaosTransport",
@@ -49,6 +51,7 @@ __all__ = [
     "DiskChaosConfig",
     "DiskIO",
     "DiskReconciliationReport",
+    "FleetDrive",
     "PayloadDropped",
     "ReconciliationReport",
     "SimulatedCrash",

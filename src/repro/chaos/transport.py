@@ -23,7 +23,8 @@ Fault semantics match real uplinks:
 * **duplicate** — payload delivered twice under one ack; the backend's
   dedup must absorb it.
 * **reorder** — payload acked but held back, delivered only after a
-  later payload (or at :meth:`ChaosTransport.flush_held`).
+  later payload (or at :meth:`ChaosTransport.flush_held`), on its own
+  sender's channel.
 * **corrupt** — payload delivered with a broken header under a normal
   ack; the backend quarantines it and the record is lost unless
   another copy got through.  The pristine bytes are retained so the
@@ -34,11 +35,12 @@ from __future__ import annotations
 
 import random
 
+from repro.backend.ingest import NotAcked
 from repro.chaos.config import ChaosConfig
 from repro.obs import get_registry
 
 
-class ChaosTransportError(RuntimeError):
+class ChaosTransportError(NotAcked):
     """Base class for injected transport failures (the missing ack)."""
 
 
@@ -69,6 +71,7 @@ class ChaosTransport:
         #: Current virtual time; outage windows are judged against it.
         self.now = now
         self._sender_rngs: dict[object, random.Random] = {}
+        self._channels: dict[object, object] = {}
         self.sends = 0
         self.delivered = 0
         self.dropped = 0
@@ -78,7 +81,8 @@ class ChaosTransport:
         self.outage_rejections = 0
         #: Pristine bytes of payloads whose delivery was corrupted.
         self.corrupted_payloads: list[bytes] = []
-        self._held: list[bytes] = []
+        #: ``(sender, payload)`` pairs acked but held back.
+        self._held: list[tuple[object, bytes]] = []
 
     # -- time ----------------------------------------------------------------
 
@@ -115,21 +119,29 @@ class ChaosTransport:
         if rng.random() < self.config.reorder_rate:
             self.reordered += 1
             registry.inc("chaos_transport_faults_total", fault="reorder")
-            self._held.append(payload)
+            self._held.append((sender, payload))
             return  # acked now, delivered after a later payload
-        self._deliver(payload, rng)
-        self._release_held()
+        self._deliver(payload, rng, self._channels.get(sender, self.inner))
+        try:
+            self._release_held()
+        except NotAcked:
+            pass  # this payload is acked; the refused stay held
 
-    def for_sender(self, sender: object):
+    def for_sender(self, sender: object, channel=None):
         """A transport callable bound to ``sender``'s fault stream.
 
         Hand this to an :class:`~repro.monitoring.uploader.UploadBatcher`
         so every flush of that device draws from its own stream.
+        ``channel`` carries the sender's payloads, held ones included,
+        in place of :attr:`inner`; binding the sender again replaces it.
         """
-        def channel(payload: bytes) -> None:
+        if channel is not None:
+            self._channels[sender] = channel
+
+        def send(payload: bytes) -> None:
             self.send(payload, sender=sender)
 
-        return channel
+        return send
 
     def flush_held(self) -> int:
         """Deliver any reorder-held payloads (end-of-run drain)."""
@@ -140,7 +152,7 @@ class ChaosTransport:
     @property
     def held_payloads(self) -> tuple[bytes, ...]:
         """Acked payloads still in the reorder buffer (in flight)."""
-        return tuple(self._held)
+        return tuple(payload for _sender, payload in self._held)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -165,13 +177,14 @@ class ChaosTransport:
         return rng
 
     def _release_held(self) -> int:
-        """Deliver held payloads; re-hold the rest if the backend dies
-        mid-way (they stay accounted as in flight, never lost)."""
+        """Deliver held payloads, each on its own sender's channel;
+        re-hold the rest if the backend dies mid-way (they stay
+        accounted as in flight, never lost)."""
         held, self._held = self._held, []
         registry = get_registry()
-        for index, late in enumerate(held):
+        for index, (sender, late) in enumerate(held):
             try:
-                self.inner(late)
+                self._channels.get(sender, self.inner)(late)
             except Exception:
                 self._held = held[index:] + self._held
                 raise
@@ -179,19 +192,20 @@ class ChaosTransport:
             registry.inc("chaos_transport_delivered_total")
         return len(held)
 
-    def _deliver(self, payload: bytes, rng: random.Random) -> None:
+    def _deliver(self, payload: bytes, rng: random.Random,
+                 channel) -> None:
         registry = get_registry()
         if rng.random() < self.config.corrupt_rate:
             self.corrupted += 1
             registry.inc("chaos_transport_faults_total", fault="corrupt")
             self.corrupted_payloads.append(payload)
-            self.inner(mangle(payload))
+            channel(mangle(payload))
             return
-        self.inner(payload)
+        channel(payload)
         self.delivered += 1
         registry.inc("chaos_transport_delivered_total")
         if rng.random() < self.config.duplicate_rate:
             self.duplicated += 1
             registry.inc("chaos_transport_faults_total",
                          fault="duplicate")
-            self.inner(payload)
+            channel(payload)

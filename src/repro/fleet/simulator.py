@@ -22,6 +22,7 @@ sequential run (see ``docs/performance.md``).
 from __future__ import annotations
 
 import random
+from typing import TYPE_CHECKING
 
 from repro.android.rat_policy import (
     StabilityCompatiblePolicy,
@@ -33,7 +34,6 @@ from repro.android.recovery import (
     VANILLA_RECOVERY_POLICY,
 )
 from repro.analysis.columnar import compute_analysis_block
-from repro.chaos.pipeline import TelemetryRunResult, run_telemetry_pipeline
 from repro.core.events import FailureType
 from repro.dataset.records import (
     ARM_PATCHED,
@@ -63,6 +63,9 @@ from repro.parallel.sharding import ShardSpec
 from repro.parallel.stats import ShardStats, StopWatch, execution_metadata
 from repro.radio.rat import RAT
 from repro.simtime import SECONDS_PER_MONTH
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaos.pipeline import TelemetryRunResult
 
 #: How post-transition failures split across types.
 _POST_TRANSITION_TYPE_MIX = (
@@ -170,6 +173,9 @@ class FleetSimulator:
             dataset.transitions.extend(shard.transitions)
             chaos = self.config.chaos
             if chaos is not None and chaos.enabled:
+                # Imported on use: a run without chaos needs no spoolers.
+                from repro.chaos.pipeline import run_telemetry_pipeline
+
                 self.telemetry = run_telemetry_pipeline(dataset, chaos)
                 dataset.metadata["telemetry"] = self.telemetry.summary()
             # Same streaming aggregate the sharded workers compute —

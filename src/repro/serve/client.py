@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import socket
 
+from repro.backend.ingest import NotAcked
 from repro.serve import protocol
 
 
-class TransportSignal(RuntimeError):
+class TransportSignal(NotAcked):
     """Base class for non-ack outcomes of a socket send."""
 
     #: The batcher drops the payload when True (no retry can succeed).

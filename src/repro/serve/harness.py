@@ -5,16 +5,12 @@ prove the acceptance story end to end:
 
 * :func:`synthetic_records` — a deterministic record stream (no fleet
   simulation required; the service is the thing under test);
-* :func:`drive_fleet` — one :class:`UploadBatcher` per device flushing
-  through a :class:`~repro.serve.client.SocketTransport`, optionally
-  with a :class:`~repro.chaos.transport.ChaosTransport` layered on
-  top, in virtual time with a wall-clock-assisted drain;
+* :func:`socket_drive` — a :class:`~repro.chaos.pipeline.FleetDrive`
+  whose devices each upload over their own socket
+  (:class:`SocketChannels`), by the policy :data:`SOCKET_CHAOS`;
 * :func:`connection_storm` / :func:`stalled_clients` /
   :func:`malformed_flood` — the three classic abuse patterns, each
   returning what the server did about it;
-* :func:`reconcile_fleet` — the closing reconciliation, service-aware
-  (server-side queue shedding and queued-in-flight payloads are
-  classified, not mysteries);
 * :class:`ServeProcess` — one ``repro serve`` child process with its
   bind address parsed, for the smokes that SIGTERM / SIGKILL a real
   server.
@@ -39,10 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.chaos.config import ChaosConfig
-from repro.chaos.reconcile import ReconciliationReport, reconcile
-from repro.chaos.transport import ChaosTransport
-from repro.dataset.records import record_identity
-from repro.monitoring.uploader import UploadBatcher
+from repro.chaos.pipeline import FleetDrive
 from repro.serve import protocol
 from repro.serve.client import SocketTransport
 
@@ -82,140 +75,51 @@ def synthetic_records(n_devices: int, per_device: int,
     return records
 
 
-@dataclass
-class FleetDrive:
-    """Client-side state of one :func:`drive_fleet` run."""
+#: How a socket fleet spools and drains: 50 attempts per payload, 1 s
+#: backoff doubling to a 60 s cap, an unbounded spool, WiFi always up,
+#: and drain rounds 120 s of virtual time apart (outpacing any client
+#: backoff or server retry-after), at most 200 of them.  No transport
+#: faults: a chaotic run is ``replace(SOCKET_CHAOS, enabled=True,
+#: seed=..., drop_rate=..., ...)``.
+SOCKET_CHAOS = ChaosConfig(
+    enabled=False, seed=0, max_attempts=50, base_backoff_s=1.0,
+    max_backoff_s=60.0, max_spool_bytes=None, wifi_availability=1.0,
+    drain_interval_s=120.0, max_drain_rounds=200,
+)
 
-    batchers: dict[int, UploadBatcher]
-    transports: dict[int, SocketTransport]
-    emitted: set[str]
-    #: The ChaosTransport layer, when one was requested.
-    chaos_transport: ChaosTransport | None = None
-    flush_rounds: int = 0
+
+class SocketChannels:
+    """Channel factory: one :class:`SocketTransport` per device, all to
+    one service; :meth:`close` closes every one it opened."""
+
+    def __init__(self, host: str, port: int,
+                 timeout_s: float = 10.0) -> None:
+        self.host = host
+        self.port = port
+        self.timeout_s = timeout_s
+        self.opened: list[SocketTransport] = []
+
+    def __call__(self, device_id: int) -> SocketTransport:
+        transport = SocketTransport(self.host, self.port,
+                                    sender=device_id,
+                                    timeout_s=self.timeout_s)
+        self.opened.append(transport)
+        return transport
 
     def close(self) -> None:
-        for transport in self.transports.values():
+        for transport in self.opened:
             transport.close()
 
-    @property
-    def pending_payloads(self) -> int:
-        return sum(b.pending_payloads for b in self.batchers.values())
 
-    def summary(self) -> dict:
-        totals: dict[str, float] = {}
-        for batcher in self.batchers.values():
-            for key, value in batcher.summary().items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
-
-def drive_fleet(records: list[dict], host: str, port: int,
-                chaos: ChaosConfig | None = None,
-                max_attempts: int = 50,
-                max_spool_bytes: int | None = None,
-                timeout_s: float = 10.0,
-                drive: "FleetDrive | None" = None) -> FleetDrive:
-    """Ship ``records`` through per-device spoolers over the socket.
-
-    Emission order drives virtual time (each record's ``start_time``
-    gates the backoff clock); every emission is a flush opportunity.
-    Pass a previous run's ``drive`` to continue the same fleet against
-    a restarted service (the kill/resume scenario) — spooled payloads
-    and dedup identities carry over, only the sockets are fresh.
-    """
-    fresh = drive is None
-    if fresh:
-        drive = FleetDrive(batchers={}, transports={}, emitted=set())
-        if chaos is not None and chaos.enabled:
-            drive.chaos_transport = ChaosTransport(None, chaos)
-
-    def channel(device_id: int):
-        transport = SocketTransport(host, port, sender=device_id,
-                                    timeout_s=timeout_s)
-        drive.transports[device_id] = transport
-        if drive.chaos_transport is None:
-            return transport
-        chaos_layer = drive.chaos_transport
-
-        def send(payload: bytes) -> None:
-            chaos_layer.inner = transport
-            chaos_layer.send(payload, sender=device_id)
-
-        return send
-
-    if not fresh:
-        # Continuing against a (possibly restarted) service: close the
-        # old sockets and rebind every batcher to the new address.
-        drive.close()
-        drive.transports = {}
-        for device_id, batcher in drive.batchers.items():
-            batcher.transport = channel(device_id)
-
-    seed = chaos.seed if chaos is not None else 0
-    for data in records:
-        device_id = int(data["device_id"])
-        drive.emitted.add(record_identity(data))
-        batcher = drive.batchers.get(device_id)
-        if batcher is None:
-            batcher = UploadBatcher(
-                transport=channel(device_id),
-                max_attempts=max_attempts,
-                base_backoff_s=1.0,
-                max_backoff_s=60.0,
-                max_spool_bytes=max_spool_bytes,
-                rng=random.Random(f"{seed}:{device_id}:backoff"),
-            )
-            drive.batchers[device_id] = batcher
-        when = float(data["start_time"])
-        if drive.chaos_transport is not None:
-            drive.chaos_transport.advance(when)
-        batcher.enqueue(data)
-        batcher.maybe_flush(True, now=when)
-    return drive
-
-
-def drain_fleet(drive: FleetDrive, rounds: int = 200,
-                virtual_step_s: float = 120.0,
-                settle_s: float = 0.002) -> int:
-    """Keep flushing until every spool is empty or the budget runs out.
-
-    Virtual time advances ``virtual_step_s`` per round (outpacing any
-    server retry-after or client backoff), while a tiny real sleep per
-    round lets the server's worker thread actually drain its queue.
-    Returns the number of rounds used.
-    """
-    base = max(
-        (float(b.next_attempt_s) for b in drive.batchers.values()),
-        default=0.0,
-    )
-    used = 0
-    for used in range(1, rounds + 1):
-        if not any(b.pending_payloads for b in drive.batchers.values()):
-            used -= 1
-            break
-        now = base + used * virtual_step_s
-        if drive.chaos_transport is not None:
-            drive.chaos_transport.advance(now)
-        for batcher in drive.batchers.values():
-            if batcher.pending_payloads:
-                batcher.maybe_flush(True, now=now)
-        time.sleep(settle_s)
-    if drive.chaos_transport is not None:
-        try:
-            drive.chaos_transport.flush_held()
-        except Exception:
-            pass  # held payloads stay accounted as in flight
-    drive.flush_rounds += used
-    return used
-
-
-def reconcile_fleet(drive: FleetDrive, server,
-                    service=None) -> ReconciliationReport:
-    """Classify every emitted record against the backend's state."""
-    return reconcile(
-        drive.emitted, server, drive.batchers.values(),
-        transport=drive.chaos_transport, service=service,
-    )
+def socket_drive(host: str, port: int,
+                 chaos: ChaosConfig = SOCKET_CHAOS,
+                 timeout_s: float = 10.0) -> FleetDrive:
+    """A fleet drive whose devices upload to ``host:port`` over their
+    own sockets, sleeping 2 ms per drain round so the service's worker
+    can work off its queue.  After a restart, continue the same fleet
+    with ``drive.rebind(SocketChannels(host, port))``."""
+    return FleetDrive(SocketChannels(host, port, timeout_s), chaos,
+                      settle_s=0.002)
 
 
 # -- abuse patterns ----------------------------------------------------------

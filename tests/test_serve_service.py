@@ -14,11 +14,11 @@ import random
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import DiskIO
-from repro.chaos.config import ChaosConfig
 from repro.chaos.reconcile import payload_key, reconcile
 from repro.dataset.records import record_identity
 from repro.monitoring.uploader import UploadBatcher
@@ -35,10 +35,10 @@ from repro.serve import (
     SocketTransport,
 )
 from repro.serve.harness import (
-    drain_fleet,
-    drive_fleet,
+    SOCKET_CHAOS,
+    SocketChannels,
     malformed_flood,
-    reconcile_fleet,
+    socket_drive,
     stalled_clients,
     synthetic_records,
 )
@@ -103,11 +103,11 @@ class TestHappyPath:
         records = synthetic_records(n_devices=6, per_device=3)
         registry = ThreadSafeRegistry()
         with use_registry(registry), serving(config_for(tmp_path)) as service:
-            drive = drive_fleet(records, *service.address)
-            drain_fleet(drive)
+            drive = socket_drive(*service.address)
+            drive.emit(records)
+            drive.drain()
             assert wait_until(lambda: service.server.accepted == 18)
-            report = reconcile_fleet(drive, service.server,
-                                     service=service)
+            report = drive.reconcile(service.server, service=service)
             drive.close()
         assert report.ok
         assert report.accepted == 18
@@ -367,8 +367,9 @@ class TestDrainResume:
         records = synthetic_records(n_devices=4, per_device=2)
         path = tmp_path / "serve.ckpt"
         service = IngestService(config_for(tmp_path)).start()
-        drive = drive_fleet(records, *service.address)
-        drain_fleet(drive)
+        drive = socket_drive(*service.address)
+        drive.emit(records)
+        drive.drain()
         assert wait_until(lambda: service.server.accepted == 8)
         result = service.stop(checkpoint_path=path)
         drive.close()
@@ -386,8 +387,9 @@ class TestDrainResume:
         records = synthetic_records(n_devices=5, per_device=3)
         # -- control: one uninterrupted run ----------------------------
         with serving(config_for(tmp_path / "control")) as control:
-            drive = drive_fleet(records, *control.address)
-            drain_fleet(drive)
+            drive = socket_drive(*control.address)
+            drive.emit(records)
+            drive.drain()
             assert wait_until(lambda: control.server.accepted == 15)
             control_dataset = dataset(control.server)
             drive.close()
@@ -397,7 +399,8 @@ class TestDrainResume:
         path = tmp_path / "serve.ckpt"
         service = IngestService(config=config).start()
         service.server.take_down()
-        drive = drive_fleet(records, *service.address)
+        drive = socket_drive(*service.address)
+        drive.emit(records)
         result = service.stop(checkpoint_path=path)
         # Nothing could be ingested: every record is either still
         # spooled client-side or checkpointed from the queue.
@@ -414,10 +417,10 @@ class TestDrainResume:
         resumed = IngestService.resume(path, config=config_for(tmp_path))
         resumed.server.bring_up()
         resumed.start()
-        drive = drive_fleet([], *resumed.address, drive=drive)
-        drain_fleet(drive)
+        drive.rebind(SocketChannels(*resumed.address))
+        drive.drain()
         assert wait_until(lambda: resumed.server.accepted == 15)
-        final = reconcile_fleet(drive, resumed.server, service=resumed)
+        final = drive.reconcile(resumed.server, service=resumed)
         assert final.ok
         assert final.accepted == 15
         # The resumed run converged on byte-identical records.
@@ -473,7 +476,8 @@ class TestPayloadOwnership:
         with use_registry(registry):
             service = IngestService(config=config).start()
             service.server.take_down()
-            drive = drive_fleet(records, *service.address)
+            drive = socket_drive(*service.address)
+            drive.emit(records)
             result = service.stop(checkpoint_path=None)
             drive.close()
         assert result.leftover > 0
@@ -589,18 +593,19 @@ class TestPayloadOwnership:
 
 class TestChaosSoak:
     def test_chaotic_fleet_reconciles_with_zero_unexplained(self, tmp_path):
-        chaos = ChaosConfig(
+        chaos = replace(
+            SOCKET_CHAOS, enabled=True,
             seed=99, drop_rate=0.15, duplicate_rate=0.1,
             corrupt_rate=0.08, reorder_rate=0.05,
         )
         records = synthetic_records(n_devices=10, per_device=4)
         with serving(config_for(tmp_path)) as service:
-            drive = drive_fleet(records, *service.address, chaos=chaos)
-            drain_fleet(drive)
+            drive = socket_drive(*service.address, chaos)
+            drive.emit(records)
+            drive.drain()
             assert wait_until(lambda: service.queue.depth == 0)
             time.sleep(0.05)  # let the worker finish the last payload
-            report = reconcile_fleet(drive, service.server,
-                                     service=service)
+            report = drive.reconcile(service.server, service=service)
             drive.close()
         assert report.ok, report.render()
         assert report.emitted == 40
