@@ -119,7 +119,8 @@ class FleetDrive:
 
     def reconcile(self, server, service=None) -> ReconciliationReport:
         """Classify every emitted record against ``server`` (and a live
-        ``service`` or its drain checkpoint, see :func:`reconcile`)."""
+        ``service`` or its drain checkpoint, see
+        :func:`repro.chaos.reconcile.reconcile`)."""
         return reconcile(self.emitted, server, self.batchers.values(),
                          transport=self.transport, service=service)
 

@@ -123,7 +123,7 @@ class ChaosTransport:
             return  # acked now, delivered after a later payload
         self._deliver(payload, rng, self._channels.get(sender, self.inner))
         try:
-            self._release_held()
+            self.flush_held()
         except NotAcked:
             pass  # this payload is acked; the refused stay held
 
@@ -144,8 +144,20 @@ class ChaosTransport:
         return send
 
     def flush_held(self) -> int:
-        """Deliver any reorder-held payloads (end-of-run drain)."""
-        return self._release_held()
+        """Deliver the reorder-held payloads, each on its own sender's
+        channel; re-hold the rest if one is refused (they stay
+        accounted as in flight, never lost) and raise."""
+        held, self._held = self._held, []
+        registry = get_registry()
+        for index, (sender, late) in enumerate(held):
+            try:
+                self._channels.get(sender, self.inner)(late)
+            except Exception:
+                self._held = held[index:] + self._held
+                raise
+            self.delivered += 1
+            registry.inc("chaos_transport_delivered_total")
+        return len(held)
 
     # -- queries -------------------------------------------------------------
 
@@ -175,22 +187,6 @@ class ChaosTransport:
             )
             self._sender_rngs[sender] = rng
         return rng
-
-    def _release_held(self) -> int:
-        """Deliver held payloads, each on its own sender's channel;
-        re-hold the rest if the backend dies mid-way (they stay
-        accounted as in flight, never lost)."""
-        held, self._held = self._held, []
-        registry = get_registry()
-        for index, (sender, late) in enumerate(held):
-            try:
-                self._channels.get(sender, self.inner)(late)
-            except Exception:
-                self._held = held[index:] + self._held
-                raise
-            self.delivered += 1
-            registry.inc("chaos_transport_delivered_total")
-        return len(held)
 
     def _deliver(self, payload: bytes, rng: random.Random,
                  channel) -> None:
